@@ -8,6 +8,16 @@ import (
 	"repro/internal/subsume"
 )
 
+// NewUniverseModels is NewUniverse drawing content models from a shared
+// table instead of compiling each one on every load. The table changes
+// only the cost of loading, never the loaded schemas. It exists for the
+// in-module registry and artifact codec.
+func NewUniverseModels(models *schema.ModelTable) *Universe {
+	u := NewUniverse()
+	u.models = models
+	return u
+}
+
 // Abstract exposes the underlying abstract schema (Σ, T, ρ, R). It exists
 // for in-module subsystems that serialize or inspect compiled state (the
 // artifact codec); application code should stay on the Schema API.

@@ -723,7 +723,7 @@ func artifactStartupRow() benchScenario {
 		fatal(err)
 	}
 	warmTime := timeIt(func() {
-		if _, err := store.LoadPair(key); err != nil {
+		if _, err := store.LoadPair(key, nil); err != nil {
 			fatal(err)
 		}
 	})

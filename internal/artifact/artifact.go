@@ -15,6 +15,14 @@
 // re-parsing yields different automata (a compiler change between versions,
 // say), the blob is stale and the caller falls back to a fresh compile.
 //
+// Re-parsing is cheap because content models need not be recompiled:
+// DecodeModels and Store.LoadPair take the registry's schema.ModelTable and
+// relabel each shared model's DFA onto the fresh alphabet. The standalone
+// Decode has no table and compiles every model locally. Both paths compile
+// a model the same way — over its own labels, minimized with canonical
+// state numbering, then relabelled — so the reconstruction, fingerprint
+// and verdicts never depend on whether a table was given or what it held.
+//
 // Blobs are addressed by Key, a content hash of the two schemas' registry
 // hashes — the same pair key on every node, which is what lets clustered
 // daemons fetch each other's artifacts.

@@ -471,18 +471,24 @@ func parse(blob []byte) (*rawArtifact, error) {
 // Decode reconstructs a fully working pair from an encoded blob. Arbitrary
 // input errors cleanly (never panics); a version or fingerprint mismatch is
 // ErrStale, structurally bad bytes are ErrCorrupt. Both mean: recompile.
-func Decode(blob []byte) (*Decoded, error) {
+// Every content model is compiled locally; DecodeModels reuses a table.
+func Decode(blob []byte) (*Decoded, error) { return DecodeModels(blob, nil) }
+
+// DecodeModels is Decode re-parsing the schema texts through a content-model
+// table (nil compiles every model locally). The table only saves work: the
+// reconstruction, and so the verdict, is the same with or without it.
+func DecodeModels(blob []byte, models *schema.ModelTable) (*Decoded, error) {
 	a, err := parse(blob)
 	if err != nil {
 		return nil, err
 	}
-	return a.restore(len(blob))
+	return a.restore(len(blob), models)
 }
 
-func (a *rawArtifact) restore(size int) (*Decoded, error) {
+func (a *rawArtifact) restore(size int, models *schema.ModelTable) (*Decoded, error) {
 	// Re-parse both texts, source first — the same order the registry
 	// compiles in, so alphabet interning and TypeIDs reproduce exactly.
-	u := revalidate.NewUniverse()
+	u := revalidate.NewUniverseModels(models)
 	srcS, err := loadInfo(u, a.src)
 	if err != nil {
 		return nil, fmt.Errorf("%w: source schema: %v", ErrStale, err)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/schema"
 )
 
 // Store is an on-disk blob store for pair artifacts, keyed by Key. Writes
@@ -117,17 +118,18 @@ func (s *Store) Get(key string) ([]byte, error) {
 	return b, nil
 }
 
-// LoadPair loads and fully decodes the artifact under key. A missing blob
-// counts a miss and returns ErrNotFound; a blob that fails to decode counts
-// a corruption, is quarantined, and returns the decode error; a good blob
-// counts a hit.
-func (s *Store) LoadPair(key string) (*Decoded, error) {
+// LoadPair loads and fully decodes the artifact under key, drawing content
+// models from models (nil compiles them locally; see DecodeModels). A
+// missing blob counts a miss and returns ErrNotFound; a blob that fails to
+// decode counts a corruption, is quarantined, and returns the decode error;
+// a good blob counts a hit.
+func (s *Store) LoadPair(key string, models *schema.ModelTable) (*Decoded, error) {
 	blob, err := s.Get(key)
 	if err != nil {
 		s.misses.Add(1)
 		return nil, err
 	}
-	dec, err := Decode(blob)
+	dec, err := DecodeModels(blob, models)
 	if err != nil {
 		s.corrupt.Add(1)
 		s.quarantine(key, err)

@@ -23,7 +23,7 @@ func TestStoreMissHitCorrupt(t *testing.T) {
 	key := info.Key
 
 	// Miss.
-	if _, err := store.LoadPair(key); !errors.Is(err, ErrNotFound) {
+	if _, err := store.LoadPair(key, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("empty store: want ErrNotFound, got %v", err)
 	}
 	if st := store.Stats(); st.Misses != 1 || st.Hits != 0 {
@@ -34,7 +34,7 @@ func TestStoreMissHitCorrupt(t *testing.T) {
 	if err := store.Put(key, blob); err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	dec, err := store.LoadPair(key)
+	dec, err := store.LoadPair(key, nil)
 	if err != nil {
 		t.Fatalf("load after put: %v", err)
 	}
@@ -51,7 +51,7 @@ func TestStoreMissHitCorrupt(t *testing.T) {
 	if err := os.Truncate(path, int64(len(blob)/2)); err != nil {
 		t.Fatalf("truncate: %v", err)
 	}
-	if _, err := store.LoadPair(key); err == nil {
+	if _, err := store.LoadPair(key, nil); err == nil {
 		t.Fatal("truncated blob decoded successfully")
 	} else if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated blob: want ErrCorrupt, got %v", err)
@@ -66,13 +66,13 @@ func TestStoreMissHitCorrupt(t *testing.T) {
 		t.Fatalf("corrupt blob still live under its key: %v", err)
 	}
 	// And the key now misses cleanly — a fresh compile can write through.
-	if _, err := store.LoadPair(key); !errors.Is(err, ErrNotFound) {
+	if _, err := store.LoadPair(key, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("after quarantine: want ErrNotFound, got %v", err)
 	}
 	if err := store.Put(key, blob); err != nil {
 		t.Fatalf("re-put after quarantine: %v", err)
 	}
-	if _, err := store.LoadPair(key); err != nil {
+	if _, err := store.LoadPair(key, nil); err != nil {
 		t.Fatalf("load after re-put: %v", err)
 	}
 }
@@ -125,7 +125,7 @@ func TestStorePartialWriteRecovery(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(store.Dir(), key+".xca")); !os.IsNotExist(err) {
 		t.Fatalf("torn blob published under live key: %v", err)
 	}
-	if _, err := store.LoadPair(key); !errors.Is(err, ErrNotFound) {
+	if _, err := store.LoadPair(key, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("after torn write: want clean ErrNotFound, got %v", err)
 	}
 	if st := store.Stats(); st.Corrupt != 0 || st.Writes != 0 {
@@ -149,7 +149,7 @@ func TestStorePartialWriteRecovery(t *testing.T) {
 	if err := store.Put(key, blob); err != nil {
 		t.Fatalf("put after heal: %v", err)
 	}
-	if _, err := store.LoadPair(key); err != nil {
+	if _, err := store.LoadPair(key, nil); err != nil {
 		t.Fatalf("load after heal: %v", err)
 	}
 }
@@ -176,7 +176,7 @@ func TestStoreDegradesOnENOSPC(t *testing.T) {
 		t.Fatalf("degraded Put: want ErrDegraded, got %v", err)
 	}
 	// Reads still work while degraded.
-	if _, err := store.LoadPair(key); !errors.Is(err, ErrNotFound) {
+	if _, err := store.LoadPair(key, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("degraded read: want ErrNotFound passthrough, got %v", err)
 	}
 
@@ -190,7 +190,7 @@ func TestStoreDegradesOnENOSPC(t *testing.T) {
 	if store.Degraded() {
 		t.Fatal("store still degraded after successful probe")
 	}
-	if _, err := store.LoadPair(key); err != nil {
+	if _, err := store.LoadPair(key, nil); err != nil {
 		t.Fatalf("load after recovery: %v", err)
 	}
 }

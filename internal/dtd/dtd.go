@@ -32,6 +32,9 @@ type Options struct {
 	// Alpha, when non-nil, is the shared alphabet to intern labels into
 	// (required when the schema will be compared against another).
 	Alpha *fa.Alphabet
+	// Models, when non-nil, supplies already-compiled content models
+	// (schema.CompileWith); the loaded schema is the same either way.
+	Models *schema.ModelTable
 	// Root restricts R to a single root element. When empty and the input
 	// has a <!DOCTYPE root …> wrapper, that root is used; otherwise every
 	// declared element is a permitted root.
@@ -52,7 +55,7 @@ func Parse(src string, opts Options) (*schema.Schema, error) {
 	if root == "" {
 		root = doctypeRoot
 	}
-	return build(decls, root, opts.Alpha)
+	return build(decls, root, opts.Alpha, opts.Models)
 }
 
 // MustParse is Parse that panics on error; for tests and fixtures.
@@ -82,7 +85,7 @@ const (
 
 // build converts declarations into an abstract XML schema: one complex or
 // simple type per element label, named after the label.
-func build(decls []elementDecl, root string, alpha *fa.Alphabet) (*schema.Schema, error) {
+func build(decls []elementDecl, root string, alpha *fa.Alphabet, models *schema.ModelTable) (*schema.Schema, error) {
 	s := schema.New(alpha)
 	byName := map[string]elementDecl{}
 	var order []string
@@ -161,7 +164,7 @@ func build(decls []elementDecl, root string, alpha *fa.Alphabet) (*schema.Schema
 			s.SetRoot(name, ids[name])
 		}
 	}
-	if err := s.Compile(); err != nil {
+	if err := s.CompileWith(models); err != nil {
 		return nil, fmt.Errorf("dtd: %w", err)
 	}
 	return s, nil

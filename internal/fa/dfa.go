@@ -116,6 +116,30 @@ func (d *DFA) Widen(numSymbols int) *DFA {
 	return w
 }
 
+// Relabel returns a copy of d over an alphabet of width symbols in which
+// d's symbol i becomes syms[i]; symbols outside syms get no transitions.
+// State numbering is unchanged. syms must have one entry per symbol of d,
+// be injective, and stay below width. A content model compiled over its
+// own labels moves onto a shared alphabet this way.
+func (d *DFA) Relabel(syms []Symbol, width int) *DFA {
+	if len(syms) != d.numSymbols {
+		panic(fmt.Sprintf("fa: Relabel maps %d symbols, DFA has %d", len(syms), d.numSymbols))
+	}
+	n := d.NumStates()
+	trans := make([]int32, n*width)
+	for i := range trans {
+		trans[i] = Dead
+	}
+	for s := 0; s < n; s++ {
+		row := d.trans[s*d.numSymbols : (s+1)*d.numSymbols]
+		out := trans[s*width : (s+1)*width]
+		for i, t := range row {
+			out[syms[i]] = t
+		}
+	}
+	return &DFA{numSymbols: width, start: d.start, accept: append([]bool(nil), d.accept...), trans: trans}
+}
+
 // Table exposes the DFA's dense representation — accept flags and the
 // transition table, as copies — for serialization. The layout matches
 // RestoreDFA: trans[state*numSymbols+symbol] is the successor or Dead.

@@ -239,3 +239,28 @@ func TestWidenPanicsOnShrink(t *testing.T) {
 	}()
 	abStarB().Widen(1)
 }
+
+func TestRelabel(t *testing.T) {
+	// Local automaton for "x y*" over symbols {x=0, y=1}.
+	local := buildDFA(2, 2, 0, []int{1}, [][3]int{{0, 0, 1}, {1, 1, 1}})
+	// Onto a 4-symbol alphabet with x=3, y=1.
+	d := local.Relabel([]Symbol{3, 1}, 4)
+	if d.NumSymbols() != 4 || d.NumStates() != 2 {
+		t.Fatalf("relabelled to %d symbols, %d states", d.NumSymbols(), d.NumStates())
+	}
+	for _, c := range []struct {
+		word []Symbol
+		want bool
+	}{
+		{[]Symbol{3}, true}, {[]Symbol{3, 1, 1}, true}, {[]Symbol{0}, false},
+		{[]Symbol{3, 0}, false}, {[]Symbol{1}, false}, {nil, false},
+	} {
+		if got := d.Accepts(c.word); got != c.want {
+			t.Errorf("Accepts(%v) = %v, want %v", c.word, got, c.want)
+		}
+	}
+	// The source automaton is untouched.
+	if local.NumSymbols() != 2 || !local.Accepts([]Symbol{0, 1}) {
+		t.Fatal("Relabel mutated its receiver")
+	}
+}

@@ -147,7 +147,42 @@ func Minimize(d *DFA) *DFA {
 		}
 	}
 	m.SetStart(block[total.start])
-	return m.Trim()
+	return m.canonical()
+}
+
+// canonical returns d trimmed to its reachable, live states, numbered in
+// breadth-first order from the start state with successors taken in symbol
+// order. Isomorphic automata over the same symbols come out identical, so
+// Minimize's result depends on the language alone — not on Hopcroft's
+// block numbering, which follows map iteration order.
+func (d *DFA) canonical() *DFA {
+	c := NewDFA(d.numSymbols)
+	live := d.LiveStates()
+	if d.start == Dead || !live[d.start] {
+		return c
+	}
+	remap := make([]int32, d.NumStates())
+	for i := range remap {
+		remap[i] = Dead
+	}
+	remap[d.start] = int32(c.AddState(d.accept[d.start]))
+	c.start = 0
+	order := []int{d.start}
+	for i := 0; i < len(order); i++ {
+		s := order[i]
+		for sym := 0; sym < d.numSymbols; sym++ {
+			t := d.Step(s, Symbol(sym))
+			if t == Dead || !live[t] {
+				continue
+			}
+			if remap[t] == Dead {
+				remap[t] = int32(c.AddState(d.accept[t]))
+				order = append(order, t)
+			}
+			c.SetTransition(int(remap[s]), Symbol(sym), int(remap[t]))
+		}
+	}
+	return c
 }
 
 // Equivalent reports whether L(a) = L(b). Both automata must share the same

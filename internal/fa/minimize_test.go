@@ -199,3 +199,36 @@ func TestHopcroftMatchesMoore(t *testing.T) {
 		}
 	}
 }
+
+// TestMinimizeCanonical: minimizing automata that differ only in state
+// numbering yields identical tables, not merely isomorphic ones.
+func TestMinimizeCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 200; i++ {
+		d := randDFA(rng, 1+rng.Intn(8), 1+rng.Intn(3))
+		perm := rng.Perm(d.NumStates())
+		p := NewDFA(d.NumSymbols())
+		inv := make([]int, len(perm))
+		for old, nu := range perm {
+			inv[nu] = old
+		}
+		for nu := range inv {
+			p.AddState(d.IsAccept(inv[nu]))
+		}
+		for old := 0; old < d.NumStates(); old++ {
+			for sym := 0; sym < d.NumSymbols(); sym++ {
+				if to := d.Step(old, Symbol(sym)); to != Dead {
+					p.SetTransition(perm[old], Symbol(sym), perm[to])
+				}
+			}
+		}
+		if d.Start() != Dead {
+			p.SetStart(perm[d.Start()])
+		}
+		ms, ma, mt := Minimize(d).Table()
+		ps, pa, pt := Minimize(p).Table()
+		if ms != ps || fmt.Sprint(ma, mt) != fmt.Sprint(pa, pt) {
+			t.Fatalf("case %d: renumbered automaton minimizes differently\n%s\n%s", i, Minimize(d).Dump(nil), Minimize(p).Dump(nil))
+		}
+	}
+}

@@ -108,6 +108,47 @@ func String(n Node) string {
 	return b.String()
 }
 
+// Key returns the expression's rendering as a content-model table key, and
+// whether that rendering identifies the model: Parse reads it back to an
+// expression with the same labels in the same order and the same position
+// automaton. It does not when a label is not a name Parse reads back as
+// that label (the keyword EMPTY, or a name with syntax characters), when
+// a sequence or choice is empty (both render as nothing), or when an
+// occurrence bound is one Parse rejects; such models must not be shared
+// under their rendering.
+func Key(n Node) (string, bool) {
+	if !keyable(n) {
+		return "", false
+	}
+	return String(n), true
+}
+
+func keyable(n Node) bool {
+	switch t := n.(type) {
+	case Epsilon:
+		return true
+	case Sym:
+		return t.Name != "EMPTY" && ValidName(t.Name)
+	case Seq:
+		return len(t.Kids) > 0 && allKeyable(t.Kids)
+	case Alt:
+		return len(t.Kids) > 0 && allKeyable(t.Kids)
+	case Repeat:
+		return t.Min >= 0 && (t.Max == Unbounded || t.Max >= t.Min) && keyable(t.Kid)
+	default:
+		return false
+	}
+}
+
+func allKeyable(kids []Node) bool {
+	for _, k := range kids {
+		if !keyable(k) {
+			return false
+		}
+	}
+	return true
+}
+
 // Precedence levels for rendering: alt < seq < postfix.
 const (
 	precAlt = iota

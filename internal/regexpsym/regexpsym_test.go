@@ -352,3 +352,21 @@ func randExpr(rng *rand.Rand, depth int, labels []string) Node {
 		return Bound(randExpr(rng, depth-1, labels), min, max)
 	}
 }
+
+func TestKeyRejectsAmbiguousRenderings(t *testing.T) {
+	for _, n := range []Node{
+		Sym{Name: "EMPTY"},    // renders like Epsilon
+		Alt{},                 // renders like an empty sequence
+		Seq{},                 // renders as nothing
+		Sym{Name: "a, b"},     // renders like a sequence
+		Star(Alt{}),           // nested
+		Bound(Lbl("a"), 2, 1), // Parse rejects max < min
+	} {
+		if key, ok := Key(n); ok {
+			t.Errorf("Key(%#v) = %q, ok; want no key", n, key)
+		}
+	}
+	if key, ok := Key(MustParse("(a | b)*, c{2,3}, EMPTY")); !ok || key != "(a | b)*, c{2,3}, EMPTY" {
+		t.Errorf("Key = %q, %v", key, ok)
+	}
+}

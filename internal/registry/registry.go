@@ -21,6 +21,11 @@
 //   - Eviction is LRU under a configurable entry and approximate byte
 //     budget; the most recently used pair is never evicted, so the cache
 //     stays useful even when one pair alone exceeds the budget.
+//   - Content models are compiled once per distinct model, not once per
+//     schema load: a schema.ModelTable holds the models of the currently
+//     bound schemas (reference-counted on bind and hot-swap), and every
+//     load — registration, pair compile, artifact restore — reuses it.
+//     The table changes only what a load costs, never what it produces.
 package registry
 
 import (
@@ -40,6 +45,7 @@ import (
 	revalidate "repro"
 	"repro/internal/artifact"
 	"repro/internal/faultinject"
+	"repro/internal/schema"
 	"repro/internal/telemetry"
 )
 
@@ -73,6 +79,10 @@ type SchemaEntry struct {
 	// cache; re-registering identical content is a no-op for the cache.
 	Hash  string `json:"hash"`
 	Bytes int    `json:"bytes"`
+
+	// models are the distinct content models of the text, referenced in
+	// the registry's model table while the entry is bound to its id.
+	models []*schema.Model
 }
 
 // Pair is a compiled (source, target) schema pair: the tree-level and
@@ -171,6 +181,7 @@ type PairStats struct {
 // closed once pair/err are set (the singleflight rendezvous).
 type pairEntry struct {
 	key          string
+	artifactKey  string // artifact.Key of the pair, the ArtifactBlob index
 	srcID, dstID string // ids observed at creation, for diagnostics
 	ready        chan struct{}
 	pair         *Pair
@@ -191,11 +202,14 @@ type Registry struct {
 	logger *slog.Logger    // nil when Config.Logger was nil
 	store  *artifact.Store // nil when persistence is disabled
 
-	mu      sync.Mutex
-	schemas map[string]*SchemaEntry
-	pairs   map[string]*pairEntry
-	lru     *list.List // of *pairEntry; Front = most recently used
-	bytes   int64
+	models *schema.ModelTable // content models of the bound schemas
+
+	mu         sync.Mutex
+	schemas    map[string]*SchemaEntry
+	pairs      map[string]*pairEntry
+	byArtifact map[string]*pairEntry // the pairs map, keyed by artifactKey
+	lru        *list.List            // of *pairEntry; Front = most recently used
+	bytes      int64
 
 	hits, misses, compiles, evictions atomic.Int64
 	coalesces                         atomic.Int64
@@ -222,12 +236,14 @@ func (r *Registry) SetCompileObserver(fn func(seconds float64)) {
 // New returns an empty registry.
 func New(cfg Config) *Registry {
 	return &Registry{
-		cfg:     cfg,
-		logger:  cfg.Logger,
-		store:   cfg.Store,
-		schemas: map[string]*SchemaEntry{},
-		pairs:   map[string]*pairEntry{},
-		lru:     list.New(),
+		cfg:        cfg,
+		logger:     cfg.Logger,
+		store:      cfg.Store,
+		models:     schema.NewModelTable(),
+		schemas:    map[string]*SchemaEntry{},
+		pairs:      map[string]*pairEntry{},
+		byArtifact: map[string]*pairEntry{},
+		lru:        list.New(),
 	}
 }
 
@@ -255,14 +271,21 @@ func (r *Registry) RegisterCtx(ctx context.Context, id, text string, format Form
 		format = Sniff(text)
 	}
 	e := &SchemaEntry{ID: id, Format: format, DTDRoot: dtdRoot, Text: text, Bytes: len(text)}
-	if _, err := e.load(revalidate.NewUniverse()); err != nil {
+	s, err := e.load(revalidate.NewUniverseModels(r.models))
+	if err != nil {
 		return nil, err
 	}
+	e.models = s.Abstract().Models()
 	h := sha256.Sum256([]byte(string(format) + "\x00" + dtdRoot + "\x00" + text))
 	e.Hash = hex.EncodeToString(h[:])
 	r.mu.Lock()
 	old := r.schemas[id]
 	r.schemas[id] = e
+	// Acquire before releasing, so models both versions share stay put.
+	r.models.Acquire(e.models)
+	if old != nil {
+		r.models.Release(old.models)
+	}
 	r.mu.Unlock()
 	if r.logger != nil && old != nil && old.Hash != e.Hash {
 		r.logger.LogAttrs(ctx, slog.LevelInfo, "registry: schema hot-swapped",
@@ -377,8 +400,7 @@ func (r *Registry) PairCtx(ctx context.Context, srcID, dstID string) (*Pair, Loo
 	}
 	e := &pairEntry{key: key, srcID: srcID, dstID: dstID, ready: make(chan struct{})}
 	e.compiler = telemetry.SpanFromContext(ctx).Context()
-	e.elem = r.lru.PushFront(e)
-	r.pairs[key] = e
+	r.insertLocked(e, src, dst)
 	r.misses.Add(1)
 	r.mu.Unlock()
 
@@ -405,7 +427,7 @@ func (r *Registry) PairCtx(ctx context.Context, srcID, dstID string) (*Pair, Loo
 			pair.CompileTime = d
 		}
 		if err == nil && blob != nil && r.store != nil {
-			if perr := r.store.Put(artifact.Key(src.Hash, dst.Hash), blob); perr != nil && !errors.Is(perr, artifact.ErrDegraded) && r.logger != nil {
+			if perr := r.store.Put(e.artifactKey, blob); perr != nil && !errors.Is(perr, artifact.ErrDegraded) && r.logger != nil {
 				r.logger.LogAttrs(ctx, slog.LevelWarn, "registry: artifact write-through failed",
 					slog.String("src", src.ID),
 					slog.String("dst", dst.ID),
@@ -426,8 +448,7 @@ func (r *Registry) PairCtx(ctx context.Context, srcID, dstID string) (*Pair, Loo
 	if err != nil {
 		// Failed compiles are not cached, so a corrected re-registration
 		// retries instead of replaying the stale error.
-		delete(r.pairs, key)
-		r.lru.Remove(e.elem)
+		r.removeLocked(e)
 		r.mu.Unlock()
 		return nil, lk, err
 	}
@@ -481,16 +502,20 @@ func (r *Registry) compilePairRecovered(ctx context.Context, src, dst *SchemaEnt
 	if err := faultinject.Compile(); err != nil {
 		return nil, nil, fmt.Errorf("registry: pair (%q, %q): %w", src.ID, dst.ID, err)
 	}
-	return compilePair(src, dst)
+	return compilePair(src, dst, r.models)
 }
 
 // compilePair loads both texts into a fresh universe and preprocesses the
 // pair once (shared relations and caster table for both validation modes).
-// The returned blob is the pair's serialized artifact, ready for the store
-// write-through; encoding it is cheap next to the fixpoints just computed,
-// and its length is the pair's real cache footprint.
-func compilePair(src, dst *SchemaEntry) (*Pair, []byte, error) {
-	u := revalidate.NewUniverse()
+// Loading reuses the content models in models — the texts were registered,
+// so their models are normally all there — and what remains is parsing,
+// relabelling each model onto the pair's alphabet, and the pair's own
+// R_sub/R_nondis fixpoints and IDAs. The returned blob is the pair's
+// serialized artifact, ready for the store write-through; encoding it is
+// cheap next to the fixpoints just computed, and its length is the pair's
+// real cache footprint.
+func compilePair(src, dst *SchemaEntry, models *schema.ModelTable) (*Pair, []byte, error) {
+	u := revalidate.NewUniverseModels(models)
 	ss, err := src.load(u)
 	if err != nil {
 		return nil, nil, fmt.Errorf("registry: source %q: %w", src.ID, err)
@@ -533,7 +558,7 @@ func (r *Registry) loadArtifactPair(ctx context.Context, src, dst *SchemaEntry) 
 	if r.store == nil {
 		return nil
 	}
-	dec, err := r.store.LoadPair(artifact.Key(src.Hash, dst.Hash))
+	dec, err := r.store.LoadPair(artifact.Key(src.Hash, dst.Hash), r.models)
 	if err != nil {
 		if !errors.Is(err, artifact.ErrNotFound) && r.logger != nil {
 			r.logger.LogAttrs(ctx, slog.LevelWarn, "registry: artifact load failed, compiling fresh",
@@ -637,8 +662,7 @@ func (r *Registry) DiskPair(ctx context.Context, srcID, dstID string) (*Pair, bo
 	}
 	e := &pairEntry{key: key, srcID: srcID, dstID: dstID, ready: make(chan struct{}), pair: pair, cost: pair.Cost}
 	close(e.ready)
-	e.elem = r.lru.PushFront(e)
-	r.pairs[key] = e
+	r.insertLocked(e, src, dst)
 	r.bytes += e.cost
 	victims := r.evictLocked(e)
 	r.mu.Unlock()
@@ -677,7 +701,7 @@ func (r *Registry) InstallArtifact(ctx context.Context, srcID, dstID string, blo
 	r.mu.Unlock()
 
 	start := time.Now()
-	dec, err := artifact.Decode(blob)
+	dec, err := artifact.DecodeModels(blob, r.models)
 	if err != nil {
 		return nil, fmt.Errorf("registry: installing artifact for (%q, %q): %w", srcID, dstID, err)
 	}
@@ -697,15 +721,14 @@ func (r *Registry) InstallArtifact(ctx context.Context, srcID, dstID string, blo
 	}
 	e := &pairEntry{key: key, srcID: srcID, dstID: dstID, ready: make(chan struct{}), pair: pair, cost: pair.Cost}
 	close(e.ready)
-	e.elem = r.lru.PushFront(e)
-	r.pairs[key] = e
+	r.insertLocked(e, src, dst)
 	r.bytes += e.cost
 	victims := r.evictLocked(e)
 	r.mu.Unlock()
 	r.logEvictions(ctx, victims)
 
 	if r.store != nil {
-		if perr := r.store.Put(artifact.Key(src.Hash, dst.Hash), blob); perr != nil && !errors.Is(perr, artifact.ErrDegraded) && r.logger != nil {
+		if perr := r.store.Put(e.artifactKey, blob); perr != nil && !errors.Is(perr, artifact.ErrDegraded) && r.logger != nil {
 			r.logger.LogAttrs(ctx, slog.LevelWarn, "registry: artifact write-through failed",
 				slog.String("src", srcID),
 				slog.String("dst", dstID),
@@ -726,23 +749,38 @@ func (r *Registry) ArtifactBlob(key string) ([]byte, error) {
 		}
 	}
 	r.mu.Lock()
+	e := r.byArtifact[key]
+	r.mu.Unlock()
 	var pair *Pair
-	for _, e := range r.pairs {
+	if e != nil {
 		select {
 		case <-e.ready:
+			if e.err == nil {
+				pair = e.pair
+			}
 		default:
-			continue
-		}
-		if e.err == nil && e.pair != nil && artifact.Key(e.pair.Src.Hash, e.pair.Dst.Hash) == key {
-			pair = e.pair
-			break
 		}
 	}
-	r.mu.Unlock()
 	if pair == nil {
 		return nil, fmt.Errorf("registry: no artifact under key %s: %w", key, artifact.ErrNotFound)
 	}
 	return artifact.Encode(pair.Src.artifactInfo(), pair.Dst.artifactInfo(), pair.Caster, pair.Report)
+}
+
+// insertLocked adds e to the cache maps and the LRU front, indexed under
+// both its pair key and its artifact key. Caller holds r.mu.
+func (r *Registry) insertLocked(e *pairEntry, src, dst *SchemaEntry) {
+	e.artifactKey = artifact.Key(src.Hash, dst.Hash)
+	e.elem = r.lru.PushFront(e)
+	r.pairs[e.key] = e
+	r.byArtifact[e.artifactKey] = e
+}
+
+// removeLocked drops e from the cache maps and the LRU. Caller holds r.mu.
+func (r *Registry) removeLocked(e *pairEntry) {
+	r.lru.Remove(e.elem)
+	delete(r.pairs, e.key)
+	delete(r.byArtifact, e.artifactKey)
 }
 
 // evictLocked drops LRU entries until the budgets hold, never evicting
@@ -766,8 +804,7 @@ func (r *Registry) evictLocked(keep *pairEntry) []*pairEntry {
 		if victim == keep {
 			break
 		}
-		r.lru.Remove(back)
-		delete(r.pairs, victim.key)
+		r.removeLocked(victim)
 		r.bytes -= victim.cost
 		r.evictions.Add(1)
 		victims = append(victims, victim)

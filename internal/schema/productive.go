@@ -39,7 +39,9 @@ func (s *Schema) pruneNonProductive() error {
 		}
 	}
 	for _, t := range s.Types {
-		if t.Simple {
+		if t.Simple || allChildrenProductive(t, prod) {
+			// Nothing to restrict: the automaton moves only on labels of
+			// its content model, all bound in Child, and is already trim.
 			continue
 		}
 		t.DFA = fa.RestrictSymbols(t.DFA, s.allowedMask(t, prod))
@@ -58,4 +60,13 @@ func (s *Schema) allowedMask(t *Type, prod []bool) []bool {
 		}
 	}
 	return mask
+}
+
+func allChildrenProductive(t *Type, prod []bool) bool {
+	for _, child := range t.Child {
+		if !prod[child] {
+			return false
+		}
+	}
+	return true
 }

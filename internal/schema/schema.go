@@ -39,9 +39,13 @@ type Type struct {
 	Value *SimpleType
 	// Content is regexp_τ; nil for simple types.
 	Content regexpsym.Node
-	// DFA is the compiled, minimized content-model automaton. Populated
-	// by Schema.Compile.
+	// DFA is the compiled, minimized content-model automaton over the
+	// schema's alphabet: the type's own copy of Model.DFA, relabelled.
+	// Populated by Schema.Compile.
 	DFA *fa.DFA
+	// Model is the content model DFA was relabelled from, possibly shared
+	// with other schemas through a ModelTable. Populated by Schema.Compile.
+	Model *Model
 	// Child is types_τ: the type assigned to each child label permitted
 	// by the content model.
 	Child map[fa.Symbol]TypeID
@@ -175,10 +179,18 @@ func (s *Schema) RootTypeSym(sym fa.Symbol) TypeID {
 // models to minimal DFAs, and prunes non-productive types (§3). It must be
 // called before validation or relation computation; loaders call it
 // automatically.
-func (s *Schema) Compile() error {
+func (s *Schema) Compile() error { return s.CompileWith(nil) }
+
+// CompileWith is Compile drawing content models from a ModelTable: a model
+// the table holds is reused instead of recompiled, anything else compiles
+// locally (and is not inserted). Every type's DFA is its model's local
+// automaton relabelled onto the schema's alphabet, so the result is the
+// same with a nil, cold or warm table.
+func (s *Schema) CompileWith(models *ModelTable) error {
 	if s.compiled {
 		return nil
 	}
+	syms := make([][]fa.Symbol, len(s.Types))
 	for _, t := range s.Types {
 		if t.Simple {
 			continue
@@ -186,10 +198,13 @@ func (s *Schema) Compile() error {
 		if t.Content == nil {
 			return fmt.Errorf("schema: complex type %q has no content model", t.Name)
 		}
+		m := models.model(t.Content, !t.SkipUPA)
 		// Every label used in regexp_τ must have a child type assigned,
 		// and that type must exist.
-		for _, label := range regexpsym.Labels(t.Content) {
+		local := make([]fa.Symbol, len(m.Labels))
+		for i, label := range m.Labels {
 			sym := s.Alpha.Intern(label)
+			local[i] = sym
 			child, ok := t.Child[sym]
 			if !ok {
 				return fmt.Errorf("schema: type %q uses label %q without a child type", t.Name, label)
@@ -198,21 +213,22 @@ func (s *Schema) Compile() error {
 				return fmt.Errorf("schema: type %q label %q references unknown type id %d", t.Name, label, child)
 			}
 		}
-		if !t.SkipUPA && !regexpsym.IsOneUnambiguous(t.Content) {
+		if !t.SkipUPA && !m.OneUnambiguous {
 			return fmt.Errorf("schema: content model of type %q (%s) is not 1-unambiguous",
 				t.Name, regexpsym.String(t.Content))
 		}
+		t.Model, syms[t.ID] = m, local
 	}
 	for _, τ := range s.Roots {
 		if int(τ) < 0 || int(τ) >= len(s.Types) {
 			return fmt.Errorf("schema: root references unknown type id %d", τ)
 		}
 	}
-	// Compile after all labels are interned so every DFA shares the full
+	// Relabel after all labels are interned so every DFA shares the full
 	// alphabet (required for cross-schema automaton products).
 	for _, t := range s.Types {
 		if !t.Simple {
-			t.DFA = regexpsym.Compile(t.Content, s.Alpha)
+			t.DFA = t.Model.DFA.Relabel(syms[t.ID], s.Alpha.Size())
 		}
 	}
 	if err := s.pruneNonProductive(); err != nil {

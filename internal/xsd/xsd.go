@@ -39,6 +39,9 @@ type Options struct {
 	// Alpha, when non-nil, is the shared alphabet to intern labels into
 	// (required when the schema will be compared against another).
 	Alpha *fa.Alphabet
+	// Models, when non-nil, supplies already-compiled content models
+	// (schema.CompileWith); the loaded schema is the same either way.
+	Models *schema.ModelTable
 }
 
 // Parse loads an XSD document from r into a compiled abstract XML schema.
@@ -135,7 +138,7 @@ func FromTree(doc *xmltree.Node, opts Options) (*schema.Schema, error) {
 		}
 		ld.s.SetRoot(name, τ)
 	}
-	if err := ld.s.Compile(); err != nil {
+	if err := ld.s.CompileWith(opts.Models); err != nil {
 		return nil, fmt.Errorf("xsd: %w", err)
 	}
 	if len(ld.constraints) > 0 {

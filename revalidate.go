@@ -49,6 +49,9 @@ import (
 // compared or cast between. All schemas of one Universe share an alphabet.
 type Universe struct {
 	alpha *fa.Alphabet
+	// models, when non-nil, shares compiled content models across loads
+	// (see NewUniverseModels); loaded schemas are the same without it.
+	models *schema.ModelTable
 }
 
 // NewUniverse returns an empty universe.
@@ -69,7 +72,7 @@ type Schema struct {
 // supported; attributes are ignored and schema features outside the
 // paper's formalism are rejected with descriptive errors.
 func (u *Universe) LoadXSD(r io.Reader) (*Schema, error) {
-	s, err := xsd.Parse(r, xsd.Options{Alpha: u.alpha})
+	s, err := xsd.Parse(r, xsd.Options{Alpha: u.alpha, Models: u.models})
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +81,7 @@ func (u *Universe) LoadXSD(r io.Reader) (*Schema, error) {
 
 // LoadXSDString loads an XSD document held in a string.
 func (u *Universe) LoadXSDString(src string) (*Schema, error) {
-	s, err := xsd.ParseString(src, xsd.Options{Alpha: u.alpha})
+	s, err := xsd.ParseString(src, xsd.Options{Alpha: u.alpha, Models: u.models})
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +92,7 @@ func (u *Universe) LoadXSDString(src string) (*Schema, error) {
 // the document root element; otherwise a <!DOCTYPE> wrapper (if present)
 // decides, and failing that every declared element may be a root.
 func (u *Universe) LoadDTD(src, root string) (*Schema, error) {
-	s, err := dtd.Parse(src, dtd.Options{Alpha: u.alpha, Root: root})
+	s, err := dtd.Parse(src, dtd.Options{Alpha: u.alpha, Models: u.models, Root: root})
 	if err != nil {
 		return nil, err
 	}
