@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"sort"
 
@@ -617,55 +616,52 @@ func unflatten(flat []bool, n, m int) [][]bool {
 // schemas; any drift (a changed regex compiler, minimizer, or facet
 // renderer between builds) makes the blob stale rather than subtly wrong.
 func fingerprint(src, dst *schema.Schema) [32]byte {
-	h := sha256.New()
+	var w writer
 	for _, n := range src.Alpha.Names() {
-		hstr(h, n)
+		fpStr(&w, n)
 	}
-	hashSchema(h, src)
-	hashSchema(h, dst)
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	fpSchema(&w, src)
+	fpSchema(&w, dst)
+	return sha256.Sum256(w.buf)
 }
 
-func hstr(h hash.Hash, s string) {
-	hint(h, int64(len(s)))
-	h.Write([]byte(s))
+// fpStr appends s behind a signed-varint length. The fingerprint has
+// always framed strings this way (the payload's strings use an unsigned
+// length), and its bytes may not change: stores written by earlier builds
+// would all come back stale.
+func fpStr(w *writer, s string) {
+	w.varint(int64(len(s)))
+	w.buf = append(w.buf, s...)
 }
 
-func hint(h hash.Hash, v int64) {
-	var b [binary.MaxVarintLen64]byte
-	h.Write(b[:binary.PutVarint(b[:], v)])
-}
-
-func hashSchema(h hash.Hash, s *schema.Schema) {
-	hint(h, int64(len(s.Types)))
+func fpSchema(w *writer, s *schema.Schema) {
+	w.varint(int64(len(s.Types)))
 	for _, t := range s.Types {
-		hstr(h, t.Name)
+		fpStr(w, t.Name)
 		if t.Simple {
-			hint(h, 1)
+			w.varint(1)
 			if t.Value != nil {
-				hstr(h, t.Value.String())
+				fpStr(w, t.Value.String())
 			} else {
-				hstr(h, "")
+				fpStr(w, "")
 			}
 			continue
 		}
-		hint(h, 0)
-		hstr(h, regexpsym.String(t.Content))
+		w.varint(0)
+		fpStr(w, regexpsym.String(t.Content))
 		start, accept, trans := t.DFA.Table()
-		hint(h, int64(t.DFA.NumSymbols()))
-		hint(h, int64(start))
-		hint(h, int64(len(accept)))
+		w.varint(int64(t.DFA.NumSymbols()))
+		w.varint(int64(start))
+		w.varint(int64(len(accept)))
 		for _, a := range accept {
 			if a {
-				h.Write([]byte{1})
+				w.buf = append(w.buf, 1)
 			} else {
-				h.Write([]byte{0})
+				w.buf = append(w.buf, 0)
 			}
 		}
 		for _, tr := range trans {
-			hint(h, int64(tr))
+			w.varint(int64(tr))
 		}
 		syms := make([]int, 0, len(t.Child))
 		for sym := range t.Child {
@@ -673,8 +669,8 @@ func hashSchema(h hash.Hash, s *schema.Schema) {
 		}
 		sort.Ints(syms)
 		for _, sym := range syms {
-			hint(h, int64(sym))
-			hint(h, int64(t.Child[fa.Symbol(sym)]))
+			w.varint(int64(sym))
+			w.varint(int64(t.Child[fa.Symbol(sym)]))
 		}
 	}
 	roots := make([]int, 0, len(s.Roots))
@@ -683,7 +679,7 @@ func hashSchema(h hash.Hash, s *schema.Schema) {
 	}
 	sort.Ints(roots)
 	for _, sym := range roots {
-		hint(h, int64(sym))
-		hint(h, int64(s.Roots[fa.Symbol(sym)]))
+		w.varint(int64(sym))
+		w.varint(int64(s.Roots[fa.Symbol(sym)]))
 	}
 }

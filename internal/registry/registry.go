@@ -35,6 +35,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"runtime/debug"
 	"strings"
@@ -260,6 +261,21 @@ func (r *Registry) Register(id, text string, format Format, dtdRoot string) (*Sc
 	return r.RegisterCtx(context.Background(), id, text, format, dtdRoot)
 }
 
+// contentHash is the hex SHA-256 of format, NUL, dtdRoot, NUL, text: a
+// schema version's identity in the pair cache, the artifact store and
+// peer ownership. The parts are streamed into the hash rather than
+// concatenated first, which copied the schema text twice per call.
+func contentHash(format Format, dtdRoot, text string) string {
+	h := sha256.New()
+	io.WriteString(h, string(format))
+	io.WriteString(h, "\x00")
+	io.WriteString(h, dtdRoot)
+	io.WriteString(h, "\x00")
+	io.WriteString(h, text)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
+}
+
 // RegisterCtx is Register with a request context: a hot-swap (re-register
 // under an id already bound to different content) emits one structured log
 // record correlated to the requesting trace.
@@ -276,8 +292,7 @@ func (r *Registry) RegisterCtx(ctx context.Context, id, text string, format Form
 		return nil, err
 	}
 	e.models = s.Abstract().Models()
-	h := sha256.Sum256([]byte(string(format) + "\x00" + dtdRoot + "\x00" + text))
-	e.Hash = hex.EncodeToString(h[:])
+	e.Hash = contentHash(format, dtdRoot, text)
 	r.mu.Lock()
 	old := r.schemas[id]
 	r.schemas[id] = e

@@ -12,6 +12,10 @@ import (
 // and the next use re-grows from the default size.
 const maxRetainedBuf = 1 << 20
 
+// maxRetainedAttrs caps the attribute spans a released scanner keeps, at
+// the same byte budget (an attrSpan is four ints).
+const maxRetainedAttrs = maxRetainedBuf / 32
+
 var scannerPool = sync.Pool{New: func() any { return new(Scanner) }}
 
 // Get returns a pooled scanner reset onto r. Steady-state validations
@@ -39,6 +43,12 @@ func (s *Scanner) Release() {
 	}
 	if cap(s.scratch) > maxRetainedBuf {
 		s.scratch = nil
+	}
+	if cap(s.attrBuf) > maxRetainedBuf {
+		s.attrBuf = nil
+	}
+	if cap(s.attrs) > maxRetainedAttrs {
+		s.attrs = nil
 	}
 	scannerPool.Put(s)
 }

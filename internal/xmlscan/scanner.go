@@ -2,9 +2,12 @@
 // hot path. It emits only the three event kinds the streaming validators
 // consume — element start, element end, and character data — and exposes
 // names and text as []byte views so a walker can resolve labels against an
-// interned alphabet without allocating. Attributes are scanned for
-// well-formedness but never materialized; comments, processing
-// instructions and doctype declarations are consumed internally.
+// interned alphabet without allocating. Attributes are always scanned for
+// well-formedness; a caller that wants them (a tree builder) turns on
+// KeepAttrs and reads each start tag's names and decoded values through
+// Attr, while the stream walkers leave it off and pay nothing for them.
+// Comments, processing instructions and doctype declarations are consumed
+// internally.
 //
 // The scanner deliberately mirrors encoding/xml's strict-mode acceptance
 // behavior (entity handling, character-range checks, \r normalization,
@@ -41,7 +44,9 @@ const (
 	// self-closing tag); Name holds its local name.
 	EventEnd
 	// EventText is one run of character data (text, decoded entities, or
-	// a CDATA section); Text holds the decoded bytes.
+	// a CDATA section); Text holds the decoded bytes. Every CDATA section
+	// produces one, even an empty one, as encoding/xml produces a CharData
+	// token for it.
 	EventText
 )
 
@@ -93,6 +98,18 @@ type Scanner struct {
 
 	pendingEnd bool // a self-closing tag owes its EndElement
 	started    bool // the offset-0 BOM check has run
+
+	keepAttrs bool       // KeepAttrs is on
+	attrBuf   []byte     // owned storage for kept attribute names and values
+	attrs     []attrSpan // kept attributes of the start tag ending at attrsAt
+	attrsAt   int64      // input offset just past that start tag
+}
+
+// attrSpan locates one kept attribute in attrBuf: its raw name is
+// attrBuf[off:val] with the local part from off+local, and its decoded
+// value is attrBuf[val:end].
+type attrSpan struct {
+	off, local, val, end int
 }
 
 // NewScanner returns a scanner reading one document from r.
@@ -114,6 +131,9 @@ func (s *Scanner) Reset(r io.Reader) {
 	s.name, s.text = nil, nil
 	s.pendingEnd = false
 	s.started = false
+	s.keepAttrs = false
+	s.attrBuf = s.attrBuf[:0]
+	s.attrs = s.attrs[:0]
 	if s.buf == nil {
 		s.buf = make([]byte, defaultBufSize)
 	}
@@ -126,6 +146,32 @@ func (s *Scanner) Name() []byte { return s.name }
 // Text returns the decoded bytes of the last text event. The view is
 // valid until the next Scanner method call.
 func (s *Scanner) Text() []byte { return s.text }
+
+// KeepAttrs makes the scanner record the attributes of every start tag
+// that has any, for NumAttr and Attr. Reset turns it off again.
+func (s *Scanner) KeepAttrs() { s.keepAttrs = true }
+
+// NumAttr reports how many attributes the last start tag carried. It is
+// zero unless KeepAttrs is on.
+func (s *Scanner) NumAttr() int {
+	// An attribute-less "<name>" takes startTag's fast path, which leaves
+	// attrs untouched; the offset check tells such a tag from the one the
+	// kept attributes belong to.
+	if s.attrsAt != s.InputOffset() {
+		return 0
+	}
+	return len(s.attrs)
+}
+
+// Attr returns attribute i (0 ≤ i < NumAttr) of the last start tag: its
+// raw, possibly prefixed name, the offset of the local part within it
+// (split as for element names), and its value with entities decoded and
+// \r or \r\n normalized to \n. The views are valid until the next Scanner
+// method call.
+func (s *Scanner) Attr(i int) (name []byte, local int, value []byte) {
+	a := s.attrs[i]
+	return s.attrBuf[a.off:a.val], a.local, s.attrBuf[a.val:a.end]
+}
 
 // Depth reports the number of currently open elements.
 func (s *Scanner) Depth() int { return len(s.frames) }
@@ -278,9 +324,7 @@ func (s *Scanner) Next() (Event, error) {
 				if err := s.textInto(-1, true, true); err != nil {
 					return s.fail(err)
 				}
-				if len(s.text) > 0 {
-					return EventText, nil
-				}
+				return EventText, nil
 			}
 		default:
 			s.ungetc()
@@ -730,6 +774,9 @@ func (s *Scanner) startTag() (Event, error) {
 		s.name = s.names[off+local : off+n]
 		return EventStart, nil
 	}
+	if s.keepAttrs {
+		s.attrBuf, s.attrs = s.attrBuf[:0], s.attrs[:0]
+	}
 	for {
 		s.space()
 		b, err := s.mustgetc()
@@ -757,14 +804,25 @@ func (s *Scanner) startTag() (Event, error) {
 	}
 	s.frames = append(s.frames, nameFrame{off: off, n: n, local: local})
 	s.name = s.names[off+local : off+n]
+	if s.keepAttrs {
+		s.attrsAt = s.InputOffset()
+	}
 	return EventStart, nil
 }
 
-// attr parses one attribute, validating its name and value without
-// keeping either.
+// attr parses and validates one attribute, appending it to attrs when
+// KeepAttrs is on.
 func (s *Scanner) attr() error {
-	scratch, _, err := s.parseNSName(s.scratch[:0])
-	s.scratch = scratch
+	var (
+		off, local int
+		err        error
+	)
+	if s.keepAttrs {
+		off = len(s.attrBuf)
+		s.attrBuf, local, err = s.parseNSName(s.attrBuf)
+	} else {
+		s.scratch, _, err = s.parseNSName(s.scratch[:0])
+	}
 	if err != nil {
 		if err == errNoName {
 			err = s.syntaxf("expected attribute name in element")
@@ -791,18 +849,32 @@ func (s *Scanner) attr() error {
 	// needs no decoding. ']' and '&' fall through to the full scanner (']'
 	// is legal in attribute values but the table is shared with text), as
 	// does '<' (illegal here — textInto reports it).
+	var value []byte
+	clean := false
 	win := s.buf[s.pos:s.end]
 	for i := 0; i < len(win); i++ {
 		c := win[i]
 		if c == b {
 			s.pos += i + 1
-			return nil
+			value, clean = win[:i], true
+			break
 		}
 		if textSlow[c] || c == '<' {
 			break
 		}
 	}
-	return s.textInto(int(b), false, false)
+	if !clean {
+		if err := s.textInto(int(b), false, false); err != nil {
+			return err
+		}
+		value = s.textBuf
+	}
+	if s.keepAttrs {
+		val := len(s.attrBuf)
+		s.attrBuf = append(s.attrBuf, value...)
+		s.attrs = append(s.attrs, attrSpan{off: off, local: local, val: val, end: len(s.attrBuf)})
+	}
+	return nil
 }
 
 // endTag parses an end tag from just after "</", requires it to close the

@@ -353,3 +353,163 @@ func TestPoolReuse(t *testing.T) {
 		s.Release()
 	}
 }
+
+// attrEvents flattens the start tags of doc with their kept attributes,
+// one "name[raw=value ...]" entry per tag, splitting each raw name at its
+// local-part offset.
+func attrEvents(doc string) ([]string, error) {
+	s := NewScanner(strings.NewReader(doc))
+	s.KeepAttrs()
+	var out []string
+	for {
+		ev, err := s.Next()
+		if err != nil {
+			return out, err
+		}
+		switch ev {
+		case EventEOF:
+			return out, nil
+		case EventStart:
+			var b strings.Builder
+			b.WriteString(string(s.Name()) + "[")
+			for i := 0; i < s.NumAttr(); i++ {
+				name, local, value := s.Attr(i)
+				prefix := ""
+				if local > 0 {
+					prefix = string(name[:local-1])
+				}
+				fmt.Fprintf(&b, " %s|%s=%q", prefix, name[local:], value)
+			}
+			out = append(out, b.String()+"]")
+		}
+	}
+}
+
+// attrEventsStd flattens encoding/xml's raw (untranslated) start tags the
+// same way.
+func attrEventsStd(doc string) ([]string, error) {
+	dec := xml.NewDecoder(strings.NewReader(doc))
+	var out []string
+	for {
+		tok, err := dec.RawToken()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		if t, ok := tok.(xml.StartElement); ok {
+			var b strings.Builder
+			b.WriteString(t.Name.Local + "[")
+			for _, a := range t.Attr {
+				fmt.Fprintf(&b, " %s|%s=%q", a.Name.Space, a.Name.Local, a.Value)
+			}
+			out = append(out, b.String()+"]")
+		}
+	}
+}
+
+func TestAttrsMatchEncodingXML(t *testing.T) {
+	docs := append([]string{
+		`<a x="1" p:y='2' xmlns:p="urn:p" xmlns="urn:d"><b/><c z="&lt;&#65;&amp;"/></a>`,
+		"<a v=\"x\r\ny\rz\n\t\" w=\"&#13;\"/>",
+		`<a :b="1" c:="2"/>`,
+		`<a b="]]>" c='"' d="'"/>`,
+		`<a   b = "1"   ><b c="2"></b></a>`,
+		`<a b="1" b="2"/>`,
+	}, differentialCases...)
+	for _, doc := range docs {
+		got, err := attrEvents(doc)
+		want, errStd := attrEventsStd(doc)
+		if err != nil || errStd != nil {
+			continue // acceptance is TestScannerMatchesEncodingXML's job
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%q:\n got %v\nwant %v", doc, got, want)
+		}
+	}
+}
+
+func TestAttrsBelongToLastStartTag(t *testing.T) {
+	s := NewScanner(strings.NewReader(`<a x="1"><b></b><c y="2"/>t</a>`))
+	s.KeepAttrs()
+	want := []int{1, 0, 0, 1, 1, 0, 0}
+	for i, n := range want {
+		if _, err := s.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.NumAttr(); got != n {
+			t.Fatalf("event %d: NumAttr %d, want %d", i, got, n)
+		}
+	}
+
+	// Without KeepAttrs, and after Reset turns it off, nothing is kept.
+	s.Reset(strings.NewReader(`<a x="1"/>`))
+	if _, err := s.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if s.NumAttr() != 0 {
+		t.Fatal("Reset left KeepAttrs on")
+	}
+}
+
+// An empty CDATA section is a text event of its own, as encoding/xml
+// reports it; the tree builder turns it into an empty χ leaf under
+// KeepWhitespaceText.
+func TestEmptyCDATAIsATextEvent(t *testing.T) {
+	s := NewScanner(strings.NewReader(`<a><![CDATA[]]></a>`))
+	var events []Event
+	for {
+		ev, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev == EventEOF {
+			break
+		}
+		events = append(events, ev)
+	}
+	if want := []Event{EventStart, EventText, EventEnd}; fmt.Sprint(events) != fmt.Sprint(want) {
+		t.Fatalf("events %v, want %v", events, want)
+	}
+}
+
+func TestReleaseDropsOversizedAttrs(t *testing.T) {
+	s := NewScanner(strings.NewReader(`<a v="` + strings.Repeat("x", maxRetainedBuf+1) + `"/>`))
+	s.KeepAttrs()
+	if _, err := s.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if cap(s.attrBuf) <= maxRetainedBuf {
+		t.Fatalf("attribute storage did not grow: cap %d", cap(s.attrBuf))
+	}
+	s.Release()
+	if s.attrBuf != nil {
+		t.Fatal("Release kept oversized attribute storage")
+	}
+}
+
+// A walker that never asks for attributes must not pay for them: a
+// warm scanner re-scanning an attribute-heavy document allocates nothing.
+func TestScanWithoutKeepAttrsAllocatesNothing(t *testing.T) {
+	doc := `<a x="1" p:y="&amp;2" xmlns:p="urn:p">` + strings.Repeat(`<b c="3" d='4'>t</b><e/>`, 50) + `</a>`
+	r := strings.NewReader(doc)
+	s := NewScanner(r)
+	scan := func() {
+		r.Reset(doc)
+		s.Reset(r)
+		for {
+			ev, err := s.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ev == EventEOF {
+				break
+			}
+		}
+	}
+	scan()
+	if allocs := testing.AllocsPerRun(50, scan); allocs != 0 {
+		t.Fatalf("scan allocated %v times per document", allocs)
+	}
+}
