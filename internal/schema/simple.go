@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 )
 
 // BaseKind is the primitive value space a simple type restricts. The paper
@@ -187,17 +188,23 @@ func (st *SimpleType) AcceptsValue(value string) bool {
 		return true
 	}
 	if st.ListItem != nil {
-		items := strings.Fields(value)
-		if st.MinLength >= 0 && len(items) < st.MinLength {
-			return false
-		}
-		if st.MaxLength >= 0 && len(items) > st.MaxLength {
-			return false
-		}
-		for _, item := range items {
-			if !st.ListItem.AcceptsValue(item) {
+		// Items are walked in place, not collected with strings.Fields:
+		// a slice of substrings would make value escape, and every
+		// streaming facet check converts its text buffer to value.
+		n := 0
+		for rest := value; ; {
+			var item string
+			item, rest = nextListItem(rest)
+			if item == "" {
+				break
+			}
+			n++
+			if st.MaxLength >= 0 && n > st.MaxLength || !st.ListItem.AcceptsValue(item) {
 				return false
 			}
+		}
+		if st.MinLength >= 0 && n < st.MinLength {
+			return false
 		}
 		if len(st.Enumeration) > 0 {
 			found := false
@@ -275,6 +282,17 @@ func (st *SimpleType) AcceptsValue(value string) bool {
 		}
 	}
 	return true
+}
+
+// nextListItem splits the first whitespace-separated item off s, with the
+// separators strings.Fields uses; item is empty when s holds no more.
+func nextListItem(s string) (item, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	end := strings.IndexFunc(s, unicode.IsSpace)
+	if end < 0 {
+		return s, ""
+	}
+	return s[:end], s[end:]
 }
 
 func numericBase(b BaseKind) bool {

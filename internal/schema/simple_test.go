@@ -33,6 +33,13 @@ func TestAcceptsValueBases(t *testing.T) {
 		{NewSimpleType(DateKind), "yesterday", false},
 		// Whitespace collapse for non-string kinds.
 		{NewSimpleType(IntegerKind), "  42  ", true},
+		// Lists split as strings.Fields does; length facets count items.
+		{NewListType(NewSimpleType(IntegerKind)), "", true},
+		{NewListType(NewSimpleType(IntegerKind)), "1 x 3", false},
+		{NewListType(NewSimpleType(IntegerKind)).WithLength(2, 3), " 1\t2\n3 ", true},
+		{NewListType(NewSimpleType(IntegerKind)).WithLength(2, 3), "1 2", true},
+		{NewListType(NewSimpleType(IntegerKind)).WithLength(2, 3), "1", false},
+		{NewListType(NewSimpleType(IntegerKind)).WithLength(2, 3), "1 2 3 4", false},
 	}
 	for _, c := range cases {
 		if got := c.st.AcceptsValue(c.value); got != c.want {

@@ -9,7 +9,7 @@ import (
 
 func BenchmarkStreamCast500(b *testing.B) {
 	ps := wgen.NewPaperSchemas()
-	data := wgen.POXMLBytes(wgen.PODocument(wgen.PODocOptions{Items: 500, IncludeBillTo: true, Seed: 11}))
+	data := po500()
 	c, err := NewCaster(ps.Source1, ps.Target)
 	if err != nil {
 		b.Fatal(err)
@@ -26,7 +26,7 @@ func BenchmarkStreamCast500(b *testing.B) {
 
 func BenchmarkStreamFull500(b *testing.B) {
 	ps := wgen.NewPaperSchemas()
-	data := wgen.POXMLBytes(wgen.PODocument(wgen.PODocOptions{Items: 500, IncludeBillTo: true, Seed: 11}))
+	data := po500()
 	v := NewValidator(ps.Target)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()

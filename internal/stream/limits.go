@@ -3,7 +3,7 @@ package stream
 import "fmt"
 
 // cancelCheckEvery is the amortization granularity of cancellation checks:
-// the streaming walkers poll ctx.Done() once per this many tokens, so the
+// the streaming walker polls ctx.Done() once per this many tokens, so the
 // hot path pays one counter decrement per token and one channel poll per
 // interval, and a canceled validation stops within one interval of work.
 const cancelCheckEvery = 256

@@ -1,10 +1,8 @@
 // Package stream validates XML directly from a token stream, without
 // materializing a document tree. Memory is proportional to document depth.
 //
-// Two validators are provided:
+// One walker, over internal/xmlscan events, serves two entry points:
 //
-//   - Validator: full validation against one schema (the streaming
-//     counterpart of package baseline).
 //   - Caster: streaming schema cast validation — the §3.2 algorithm over
 //     SAX-style events. A subtree whose (source, target) type pair is
 //     subsumed is *skimmed*: its tokens are consumed with no automaton
@@ -12,6 +10,10 @@
 //     a disjoint pair rejects immediately. Content models are checked with
 //     the §4 immediate decision automata, so a model check can conclude
 //     (accept) before the remaining children arrive.
+//   - Validator: full validation against one schema (the streaming
+//     counterpart of package baseline), run as a cast with no source
+//     schema: nothing is subsumed or disjoint, and every content model
+//     runs the plain target DFA.
 //
 // Unlike the tree engine, a streaming caster cannot avoid *reading* skipped
 // input — the bytes still flow through the tokenizer — but it avoids all
@@ -20,12 +22,8 @@ package stream
 
 import (
 	"context"
-	"encoding/xml"
-	"fmt"
 	"io"
-	"strings"
 
-	"repro/internal/fa"
 	"repro/internal/schema"
 )
 
@@ -105,33 +103,23 @@ func (s *Stats) noteDepth(d int) {
 	}
 }
 
-// Validator performs full streaming validation against one schema.
+// Validator performs full streaming validation against one schema: the
+// §3 validate(τ', e), run as a Caster with no source schema.
 type Validator struct {
-	S *schema.Schema
-
-	stdXML bool
+	c Caster
 }
 
-// NewValidator returns a streaming validator for a compiled schema. By
-// default it tokenizes with the byte-level scanner (package xmlscan);
-// WithEncodingXML selects the retained encoding/xml path instead.
-func NewValidator(s *schema.Schema, opts ...Option) *Validator {
+// NewValidator returns a streaming validator for a compiled schema.
+func NewValidator(s *schema.Schema) *Validator {
 	if !s.Compiled() {
 		panic("stream: schema must be compiled")
 	}
-	return &Validator{S: s, stdXML: buildOptions(opts).stdXML}
-}
-
-// frame is the per-open-element state of the full validator.
-type frame struct {
-	t        *schema.Type
-	dfaState int
-	text     strings.Builder
+	return &Validator{c: Caster{Dst: s}}
 }
 
 // Validate reads one XML document from r and validates it.
 func (v *Validator) Validate(r io.Reader) (Stats, error) {
-	return v.ValidateContext(context.Background(), r, Limits{})
+	return v.c.Validate(r)
 }
 
 // ValidateContext is Validate with cooperative cancellation and resource
@@ -140,144 +128,5 @@ func (v *Validator) Validate(r io.Reader) (Stats, error) {
 // element bounds is rejected with a *LimitError. The zero Limits is
 // unlimited.
 func (v *Validator) ValidateContext(ctx context.Context, r io.Reader, lim Limits) (Stats, error) {
-	if v.stdXML {
-		return v.validateStd(ctx, r, lim)
-	}
-	return v.validateScan(ctx, r, lim)
-}
-
-// validateStd is the encoding/xml-backed body of Validate, kept as the
-// reference the differential fuzz targets compare the scanner against.
-func (v *Validator) validateStd(ctx context.Context, r io.Reader, lim Limits) (Stats, error) {
-	var st Stats
-	dec := xml.NewDecoder(r)
-	var stack []*frame
-	rootSeen := false
-	firstToken := true
-	done := ctx.Done()
-	countdown := cancelCheckEvery
-	for {
-		if done != nil {
-			countdown--
-			if countdown <= 0 {
-				countdown = cancelCheckEvery
-				select {
-				case <-done:
-					return st, fmt.Errorf("stream: validation canceled after %d elements: %w",
-						st.ElementsVisited+st.ElementsSkimmed, context.Cause(ctx))
-				default:
-				}
-			}
-		}
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return st, fmt.Errorf("stream: %w", err)
-		}
-		isFirst := firstToken
-		firstToken = false
-		switch t := tok.(type) {
-		case xml.StartElement:
-			label := t.Name.Local
-			var τ schema.TypeID
-			if len(stack) == 0 {
-				if rootSeen {
-					return st, fmt.Errorf("stream: multiple root elements")
-				}
-				rootSeen = true
-				τ = v.S.RootType(label)
-				if τ == schema.NoType {
-					return st, fmt.Errorf("stream: label %q is not a permitted root", label)
-				}
-			} else {
-				parent := stack[len(stack)-1]
-				if parent.t.Simple {
-					return st, fmt.Errorf("stream: element %q inside simple content", label)
-				}
-				sym := v.S.Alpha.Lookup(label)
-				if sym == fa.NoSymbol {
-					return st, fmt.Errorf("stream: label %q unknown to the schema", label)
-				}
-				parent.dfaState = parent.t.DFA.Step(parent.dfaState, sym)
-				st.AutomatonSteps++
-				if parent.dfaState == fa.Dead {
-					return st, fmt.Errorf("stream: child %q not allowed by content model of %q", label, parent.t.Name)
-				}
-				var ok bool
-				τ, ok = parent.t.Child[sym]
-				if !ok {
-					return st, fmt.Errorf("stream: label %q has no child type under %q", label, parent.t.Name)
-				}
-			}
-			st.ElementsVisited++
-			if err := lim.checkDepth(len(stack) + 1); err != nil {
-				return st, err
-			}
-			if err := lim.checkElements(st.ElementsVisited); err != nil {
-				return st, err
-			}
-			st.noteDepth(len(stack))
-			tt := v.S.TypeOf(τ)
-			f := &frame{t: tt}
-			if !tt.Simple {
-				f.dfaState = tt.DFA.Start()
-			}
-			stack = append(stack, f)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				// Unreachable while encoding/xml enforces tag matching,
-				// but the invariant belongs to the walker, not the
-				// tokenizer.
-				return st, fmt.Errorf("stream: unexpected end element </%s>", t.Name.Local)
-			}
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if err := v.closeFrame(f, &st); err != nil {
-				return st, err
-			}
-		case xml.CharData:
-			text := string(t)
-			if isFirst {
-				// The scanner path skips a leading byte-order mark;
-				// encoding/xml surfaces it as text. Strip it so both
-				// paths see the same document.
-				text = strings.TrimPrefix(text, "\uFEFF")
-			}
-			if len(stack) == 0 {
-				if strings.TrimSpace(text) == "" {
-					continue // inter-element whitespace around the root
-				}
-				return st, fmt.Errorf("stream: text outside the root element")
-			}
-			f := stack[len(stack)-1]
-			if strings.TrimSpace(text) == "" && !f.t.Simple {
-				continue // inter-element whitespace
-			}
-			if !f.t.Simple {
-				return st, fmt.Errorf("stream: text content under element-only type %q", f.t.Name)
-			}
-			f.text.WriteString(text)
-		}
-	}
-	if !rootSeen {
-		return st, fmt.Errorf("stream: no root element")
-	}
-	return st, nil
-}
-
-func (v *Validator) closeFrame(f *frame, st *Stats) error {
-	if f.t.Simple {
-		st.ValuesChecked++
-		if !f.t.Value.AcceptsValue(f.text.String()) {
-			return fmt.Errorf("stream: value %q does not satisfy simple type %q (%s)",
-				f.text.String(), f.t.Name, f.t.Value)
-		}
-		return nil
-	}
-	if !f.t.DFA.IsAccept(f.dfaState) {
-		return fmt.Errorf("stream: children do not complete content model of %q", f.t.Name)
-	}
-	return nil
+	return v.c.ValidateContext(ctx, r, lim)
 }

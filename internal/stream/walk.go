@@ -13,37 +13,48 @@ import (
 	"repro/internal/xmlscan"
 )
 
-// castScanFrame is the per-open-element state of the scanner-based
-// caster; the value-slot pooling story matches sframe.
-type castScanFrame struct {
-	tS, tD      *schema.Type
+// frame is the per-open-element state of the walker. Frames live in a
+// pooled slice of values: pushing reuses the slot (and its retained text
+// buffer) left by a previously popped frame, so steady-state validation
+// allocates nothing per element.
+type frame struct {
+	// tS is nil when the caster has no source schema.
+	tS, tD *schema.Type
+	// ida scans the children word through c_immed; once it immediately
+	// accepts, contentDone is set and no more steps are taken (the model
+	// check is settled even though children keep arriving and are still
+	// cast individually). With no source knowledge about element children
+	// (tS nil or simple), ida is nil and idaState runs the plain target
+	// DFA instead.
 	ida         *fa.IDA
 	idaState    int
 	contentDone bool
 	text        []byte
 }
 
-// cstate is the pooled per-validation state of the streaming caster.
-type cstate struct {
-	stack []castScanFrame
+// wstate is the pooled per-validation state of the walker.
+type wstate struct {
+	stack []frame
 }
 
-var cstatePool = sync.Pool{New: func() any { return new(cstate) }}
+var wstatePool = sync.Pool{New: func() any { return new(wstate) }}
 
-// validateScan is the scanner-backed body of the streaming cast: same
-// verdicts and statistics as validateStd, built on xmlscan events, with
-// subsumed subtrees consumed by the scanner's native SkimSubtree instead
-// of walking tokens one by one.
-func (c *Caster) validateScan(ctx context.Context, r io.Reader, tr *telemetry.Trace, lim Limits) (Stats, error) {
+// validate is the streaming walker behind every Caster and Validator
+// entry point: the §3.2 cast over xmlscan events, with subsumed subtrees
+// consumed by the scanner's native SkimSubtree instead of walking tokens
+// one by one. With no source schema (full validation) nothing is
+// subsumed or disjoint and no cast contract applies.
+func (c *Caster) validate(ctx context.Context, r io.Reader, tr *telemetry.Trace, lim Limits) (Stats, error) {
 	var st Stats
 	sc := xmlscan.Get(r)
 	defer sc.Release()
-	cs := cstatePool.Get().(*cstate)
-	stack := cs.stack[:0]
+	ws := wstatePool.Get().(*wstate)
+	stack := ws.stack[:0]
 	defer func() {
-		cs.stack = stack
-		cstatePool.Put(cs)
+		ws.stack = stack
+		wstatePool.Put(ws)
 	}()
+	full := c.Src == nil
 	rootSeen := false
 	var tc *traceCtx
 	if tr != nil {
@@ -87,17 +98,19 @@ func (c *Caster) validateScan(ctx context.Context, r io.Reader, tr *telemetry.Tr
 				childIdx = tc.childN[len(tc.childN)-1]
 				tc.childN[len(tc.childN)-1]++
 			}
-			var τ, τp schema.TypeID
+			τ, τp := schema.NoType, schema.NoType
 			if len(stack) == 0 {
 				if rootSeen {
 					return st, fmt.Errorf("stream: multiple root elements")
 				}
 				rootSeen = true
-				sym := c.Src.Alpha.LookupBytes(label)
-				τ = c.Src.RootTypeSym(sym)
+				sym := c.Dst.Alpha.LookupBytes(label)
 				τp = c.Dst.RootTypeSym(sym)
-				if τ == schema.NoType {
-					return st, fmt.Errorf("stream: cast contract violated: %q is not a source root", label)
+				if !full {
+					τ = c.Src.RootTypeSym(sym)
+					if τ == schema.NoType {
+						return st, fmt.Errorf("stream: cast contract violated: %q is not a source root", label)
+					}
 				}
 				if τp == schema.NoType {
 					return st, fmt.Errorf("stream: label %q is not a permitted root of the target schema", label)
@@ -107,7 +120,7 @@ func (c *Caster) validateScan(ctx context.Context, r io.Reader, tr *telemetry.Tr
 				if parent.tD.Simple {
 					return st, fmt.Errorf("stream: element %q under simple target type %q", label, parent.tD.Name)
 				}
-				sym := c.Src.Alpha.LookupBytes(label)
+				sym := c.Dst.Alpha.LookupBytes(label)
 				if sym == fa.NoSymbol {
 					return st, fmt.Errorf("stream: label %q unknown to the schemas", label)
 				}
@@ -132,20 +145,18 @@ func (c *Caster) validateScan(ctx context.Context, r io.Reader, tr *telemetry.Tr
 						}
 					}
 				}
-				τp = schema.NoType
 				if t, ok := parent.tD.Child[sym]; ok {
 					τp = t
 				}
 				if τp == schema.NoType {
 					return st, fmt.Errorf("stream: label %q has no child type under target %q", label, parent.tD.Name)
 				}
-				τ = schema.NoType
-				if !parent.tS.Simple {
+				if parent.tS != nil && !parent.tS.Simple {
 					if t, ok := parent.tS.Child[sym]; ok {
 						τ = t
 					}
 				}
-				if τ == schema.NoType {
+				if τ == schema.NoType && !full {
 					return st, fmt.Errorf("stream: cast contract violated: no source child type for %q", label)
 				}
 			}
@@ -157,7 +168,7 @@ func (c *Caster) validateScan(ctx context.Context, r io.Reader, tr *telemetry.Tr
 				return st, err
 			}
 			st.noteDepth(len(stack))
-			if c.Rel.Subsumed(τ, τp) {
+			if !full && c.Rel.Subsumed(τ, τp) {
 				st.SubsumedSkips++
 				if tr != nil {
 					tr.Record(c.traceEvent(telemetry.ActionSkip, tc, string(label), childIdx, len(stack), τ, τp,
@@ -213,7 +224,7 @@ func (c *Caster) validateScan(ctx context.Context, r io.Reader, tr *telemetry.Tr
 				}
 				continue
 			}
-			if c.Rel.Disjoint(τ, τp) {
+			if !full && c.Rel.Disjoint(τ, τp) {
 				st.DisjointRejects++
 				if tr != nil {
 					tr.Record(c.traceEvent(telemetry.ActionReject, tc, string(label), childIdx, len(stack), τ, τp,
@@ -222,7 +233,7 @@ func (c *Caster) validateScan(ctx context.Context, r io.Reader, tr *telemetry.Tr
 				return st, fmt.Errorf("stream: source type %q is disjoint from target type %q",
 					c.Src.TypeOf(τ).Name, c.Dst.TypeOf(τp).Name)
 			}
-			stack = pushCastFrame(stack, c, τ, τp)
+			stack = c.pushFrame(stack, τ, τp)
 			f := &stack[len(stack)-1]
 			if tr != nil {
 				action, detail := telemetry.ActionDescend, "neither subsumed nor disjoint: validating content"
@@ -252,7 +263,7 @@ func (c *Caster) validateScan(ctx context.Context, r io.Reader, tr *telemetry.Tr
 					tc.dewey = tc.dewey[:len(tc.dewey)-1]
 				}
 			}
-			err := c.closeScanFrame(f, &st)
+			err := closeFrame(f, &st)
 			stack = stack[:len(stack)-1]
 			if err != nil {
 				return st, err
@@ -277,22 +288,26 @@ func (c *Caster) validateScan(ctx context.Context, r io.Reader, tr *telemetry.Tr
 	}
 }
 
-// pushCastFrame appends a frame for the (τ, τp) pair, reusing slot
-// capacity (including the slot's text buffer) when available.
-func pushCastFrame(stack []castScanFrame, c *Caster, τ, τp schema.TypeID) []castScanFrame {
+// pushFrame appends a frame for the (τ, τp) pair, reusing slot capacity
+// (including the slot's text buffer) when available. τ is NoType when the
+// caster has no source schema.
+func (c *Caster) pushFrame(stack []frame, τ, τp schema.TypeID) []frame {
 	if len(stack) < cap(stack) {
 		stack = stack[:len(stack)+1]
 	} else {
-		stack = append(stack, castScanFrame{})
+		stack = append(stack, frame{})
 	}
 	f := &stack[len(stack)-1]
-	f.tS, f.tD = c.Src.TypeOf(τ), c.Dst.TypeOf(τp)
+	f.tS, f.tD = nil, c.Dst.TypeOf(τp)
+	if τ != schema.NoType {
+		f.tS = c.Src.TypeOf(τ)
+	}
 	f.ida = nil
 	f.idaState = 0
 	f.contentDone = false
 	f.text = f.text[:0]
 	if !f.tD.Simple {
-		if f.tS.Simple {
+		if f.tS == nil || f.tS.Simple {
 			// No source knowledge about element children: scan the plain
 			// target DFA.
 			f.idaState = f.tD.DFA.Start()
@@ -307,7 +322,7 @@ func pushCastFrame(stack []castScanFrame, c *Caster, τ, τp schema.TypeID) []ca
 	return stack
 }
 
-func (c *Caster) closeScanFrame(f *castScanFrame, st *Stats) error {
+func closeFrame(f *frame, st *Stats) error {
 	if f.tD.Simple {
 		st.ValuesChecked++
 		if !f.tD.Value.AcceptsValue(string(f.text)) {
@@ -325,7 +340,7 @@ func (c *Caster) closeScanFrame(f *castScanFrame, st *Stats) error {
 		}
 		return nil
 	}
-	// Plain target-DFA scan (source-simple case).
+	// Plain target-DFA scan (no source knowledge).
 	if !f.tD.DFA.IsAccept(f.idaState) {
 		return fmt.Errorf("stream: children do not complete target content model of %q", f.tD.Name)
 	}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/schema"
 )
 
-// miniCastPair builds the smallest schema pair both walkers accept:
+// miniCastPair builds the smallest schema pair the walker casts between:
 // root <comment/> with empty content under both source and target.
 func miniCastPair(t *testing.T) (*schema.Schema, *schema.Schema) {
 	t.Helper()
@@ -26,7 +26,7 @@ func miniCastPair(t *testing.T) (*schema.Schema, *schema.Schema) {
 	return src, dst
 }
 
-// Both walkers, on both tokenizer paths, must hold the document to XML
+// Full validation and the cast must both hold the document to XML
 // well-formedness outside the root element: trailing or leading
 // non-whitespace text is a rejection, not a silent accept, and a stray
 // end tag is a structured error rather than a panic. These are
@@ -52,50 +52,38 @@ func TestWellFormednessOutsideRoot(t *testing.T) {
 		{"unclosed root", `<comment>`, false},
 		{"mismatched close", `<comment></other>`, false},
 	}
-	ps := []struct {
-		name string
-		opts []Option
-	}{
-		{"scanner", nil},
-		{"encodingxml", []Option{WithEncodingXML()}},
-	}
 	src, dst := miniCastPair(t)
-	for _, p := range ps {
-		t.Run(p.name, func(t *testing.T) {
-			v := NewValidator(dst, p.opts...)
-			c, err := NewCaster(src, dst, p.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, tc := range cases {
-				if _, err := v.Validate(strings.NewReader(tc.doc)); (err == nil) != tc.valid {
-					t.Errorf("validator %s: got err=%v, want valid=%v", tc.name, err, tc.valid)
-				}
-				if _, err := c.Validate(strings.NewReader(tc.doc)); (err == nil) != tc.valid {
-					t.Errorf("caster %s: got err=%v, want valid=%v", tc.name, err, tc.valid)
-				}
-			}
-		})
+	v := NewValidator(dst)
+	c, err := NewCaster(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		if _, err := v.Validate(strings.NewReader(tc.doc)); (err == nil) != tc.valid {
+			t.Errorf("validator %s: got err=%v, want valid=%v", tc.name, err, tc.valid)
+		}
+		if _, err := c.Validate(strings.NewReader(tc.doc)); (err == nil) != tc.valid {
+			t.Errorf("caster %s: got err=%v, want valid=%v", tc.name, err, tc.valid)
+		}
 	}
 }
 
-// A stray end tag must never escape as a panic from either walker even
-// when fed through a reader that splits tokens across Read calls.
+// A stray end tag must never escape as a panic from full validation or the
+// cast, even when fed through a reader that splits tokens across Read
+// calls.
 func TestStrayEndTagDoesNotPanic(t *testing.T) {
 	src, dst := miniCastPair(t)
+	v := NewValidator(dst)
+	c, err := NewCaster(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, doc := range []string{`</a>`, `</comment>`, `<comment/></comment>`, `  </comment>`} {
-		for _, opts := range [][]Option{nil, {WithEncodingXML()}} {
-			v := NewValidator(dst, opts...)
-			if _, err := v.Validate(iotaReader(doc)); err == nil {
-				t.Errorf("validator accepted %q", doc)
-			}
-			c, err := NewCaster(src, dst, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.Validate(iotaReader(doc)); err == nil {
-				t.Errorf("caster accepted %q", doc)
-			}
+		if _, err := v.Validate(iotaReader(doc)); err == nil {
+			t.Errorf("validator accepted %q", doc)
+		}
+		if _, err := c.Validate(iotaReader(doc)); err == nil {
+			t.Errorf("caster accepted %q", doc)
 		}
 	}
 }

@@ -5,18 +5,18 @@
 // interned alphabet without allocating. Attributes are always scanned for
 // well-formedness; a caller that wants them (a tree builder) turns on
 // KeepAttrs and reads each start tag's names and decoded values through
-// Attr, while the stream walkers leave it off and pay nothing for them.
+// Attr, while the stream walker leaves it off and pays nothing for them.
 // Comments, processing instructions and doctype declarations are consumed
 // internally.
 //
 // The scanner deliberately mirrors encoding/xml's strict-mode acceptance
 // behavior (entity handling, character-range checks, \r normalization,
 // namespace-name shape, tag matching), so a walker built on it accepts and
-// rejects exactly the documents an encoding/xml walker does; the
-// differential fuzz targets in internal/stream hold the two
-// implementations to that contract. One intentional difference: the
-// scanner skips a single UTF-8 byte-order mark at offset 0, and the
-// encoding/xml walkers compensate by stripping the same prefix.
+// rejects exactly the documents an encoding/xml token loop does;
+// TestScannerMatchesEncodingXML here and FuzzXMLTreeParse in
+// internal/xmltree hold the two to that contract. One intentional
+// difference: the scanner skips a single UTF-8 byte-order mark at offset
+// 0, where encoding/xml reports it as character data.
 //
 // Well-formedness that encoding/xml enforces above the tokenizer — end
 // tags matching their start tags, no unclosed elements at EOF — is

@@ -374,3 +374,17 @@ func TestXmlcastStreamingCLI(t *testing.T) {
 		t.Fatalf("streaming full: code=%d out=%q", code, out)
 	}
 }
+
+// cmd/castload is a nested module, so `go test ./...` never compiles it.
+// Vetting it here turns an API break in the packages it imports into a
+// test failure rather than a benchmark that cannot start. GOWORK, GOPROXY
+// and GOFLAGS are pinned so the build resolves repro through castload's
+// replace directive alone, offline.
+func TestCastloadVets(t *testing.T) {
+	cmd := exec.Command("go", "vet", "./...")
+	cmd.Dir = filepath.Join("cmd", "castload")
+	cmd.Env = append(os.Environ(), "GOWORK=off", "GOPROXY=off", "GOFLAGS=")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet in cmd/castload: %v\n%s", err, out)
+	}
+}
