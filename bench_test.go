@@ -1,27 +1,33 @@
 // Benchmarks regenerating the paper's evaluation (EDBT'04 §6): one
 // benchmark family per table/figure, plus the ablations DESIGN.md calls
 // out. `go test -bench=. -benchmem` prints the series; `cmd/castbench`
-// renders the same data as paper-style tables.
+// renders Tables 1–3 and Figure 3 as paper-style tables, and TestLedger
+// (ledger_test.go) pins the work counters behind them exactly.
 package revalidate_test
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
-
-	"bytes"
+	"time"
 
 	revalidate "repro"
+	"repro/internal/artifact"
 	"repro/internal/baseline"
 	"repro/internal/cast"
 	"repro/internal/fa"
 	"repro/internal/regexpsym"
-
+	"repro/internal/resilience"
 	"repro/internal/strcast"
 	"repro/internal/stream"
 	"repro/internal/subsume"
+	"repro/internal/telemetry"
 	"repro/internal/update"
 	"repro/internal/wgen"
 	"repro/internal/xmltree"
@@ -200,7 +206,7 @@ func BenchmarkModifiedRevalidation(b *testing.B) {
 	ps := wgen.NewPaperSchemas()
 	engine := cast.MustNew(ps.Target, ps.Target, cast.Options{})
 	base := baseline.New(ps.Target)
-	for _, edits := range []int{1, 8, 64} {
+	for _, edits := range []int{1, 4, 16, 64} {
 		doc := wgen.PODocument(wgen.PODocOptions{Items: 1000, IncludeBillTo: true, Seed: 7})
 		tk := update.NewTracker(doc)
 		items := doc.Children[2].Children
@@ -303,7 +309,8 @@ func BenchmarkReverseScan(b *testing.B) {
 // --- Preprocessing costs ------------------------------------------------
 
 // BenchmarkRsubPrecompute measures the one-time static analysis: the
-// R_sub/R_dis fixpoints and full engine construction for the paper pair.
+// R_sub/R_dis fixpoints, full engine construction for the paper pair, and
+// one content-model IDA pair (POType1/POType2).
 func BenchmarkRsubPrecompute(b *testing.B) {
 	ps := wgen.NewPaperSchemas()
 	b.Run("relations", func(b *testing.B) {
@@ -319,6 +326,72 @@ func BenchmarkRsubPrecompute(b *testing.B) {
 	b.Run("schema-compile", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			wgen.NewPaperSchemas()
+		}
+	})
+	b.Run("ida-pair", func(b *testing.B) {
+		src := ps.Source1.TypeOf(ps.Source1.TypeByName("POType1")).DFA
+		dst := ps.Target.TypeOf(ps.Target.TypeByName("POType2")).DFA
+		for i := 0; i < b.N; i++ {
+			strcast.New(src, dst)
+		}
+	})
+}
+
+// BenchmarkColdVsWarmStart acquires one compiled pair two ways: cold, by
+// compiling it (universe load + relation fixpoints + IDA construction),
+// and warm, by loading its artifact blob from a store (disk read + decode
+// + schema re-parse + fingerprint check), which is what castd pays per
+// pair after a restart with -artifact-dir. The pair is wgen.ScaledXSD at
+// 48 section types a side, large enough that the quadratic pair work
+// shows over the per-schema compile both paths share. ROADMAP item 9
+// (a cold compile as cheap as a restore) is judged by this ratio.
+func BenchmarkColdVsWarmStart(b *testing.B) {
+	srcText, dstText := wgen.ScaledXSD(48, true, 100), wgen.ScaledXSD(48, false, 100)
+	compile := func(b *testing.B) *revalidate.Caster {
+		u := revalidate.NewUniverse()
+		src, err := u.LoadXSDString(srcText)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst, err := u.LoadXSDString(dstText)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, _, err := revalidate.NewCasterPair(src, dst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return c
+	}
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			compile(b)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		info := func(text string) artifact.SchemaInfo {
+			h := sha256.Sum256([]byte("xsd\x00\x00" + text))
+			return artifact.SchemaInfo{Format: "xsd", Text: text, Hash: hex.EncodeToString(h[:])}
+		}
+		src, dst := info(srcText), info(dstText)
+		store, err := artifact.OpenStore(b.TempDir(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := compile(b)
+		blob, err := artifact.Encode(src, dst, c, c.Report())
+		if err != nil {
+			b.Fatal(err)
+		}
+		key := artifact.Key(src.Hash, dst.Hash)
+		if err := store.Put(key, blob); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := store.LoadPair(key, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
@@ -395,6 +468,56 @@ func BenchmarkStreaming(b *testing.B) {
 			}
 		}
 	})
+
+	// What castd adds around a cast, each on top of the same stream cast;
+	// compare each against stream-cast. The runtime sampler ticks at a
+	// hostile 10ms (castd's default is 10s).
+	streamCast := func(b *testing.B) {
+		if _, err := streamCaster.Validate(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("stream-cast+runtime-sampler-10ms", func(b *testing.B) {
+		col := telemetry.NewRuntimeCollector(telemetry.NewRegistry(), 10*time.Millisecond)
+		col.Start()
+		defer col.Stop()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			streamCast(b)
+		}
+	})
+	// A traced request's latency observation: one heap-allocated exemplar
+	// and an atomic pointer store.
+	b.Run("stream-cast+exemplar", func(b *testing.B) {
+		h := telemetry.NewRegistry().Histogram("bench_cast_seconds", "", telemetry.DefBuckets())
+		const traceID, spanID = "4bf92f3577b34da6a3ce929d0e0e4736", "00f067aa0ba902b7"
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			start := time.Now()
+			streamCast(b)
+			h.ObserveExemplar(time.Since(start).Seconds(), traceID, spanID, time.Now())
+		}
+	})
+	// The guard sequence a clustered cast pays on a healthy peer path:
+	// breaker admission, retry-budget deposit, success record, latency
+	// observation and the hedge-delay percentile read.
+	b.Run("stream-cast+resilience-guard", func(b *testing.B) {
+		br := resilience.NewBreaker(resilience.BreakerConfig{})
+		budget := resilience.NewBudget(0, 0)
+		var lat resilience.LatencyTracker
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if !br.Allow() {
+				b.Fatal("breaker opened on an all-success run")
+			}
+			budget.Deposit()
+			start := time.Now()
+			streamCast(b)
+			br.Record(true)
+			lat.Observe(time.Since(start))
+			lat.Percentile(0.95)
+		}
+	})
 }
 
 // --- Parallel validation: hot-path contention ----------------------------
@@ -450,12 +573,12 @@ func BenchmarkParallelCast(b *testing.B) {
 }
 
 // BenchmarkParallelBatchScaling sweeps the worker count of the public
-// batch API: the tracked series is docs/sec at 1→GOMAXPROCS workers
-// (cmd/castbench -parallel prints the same curve with speedups). The
-// workload is the Experiment-2 pair — every quantity facet must be
-// checked, so per-document work is linear in items and the curve reflects
-// validation scaling rather than pool overhead (Experiment-1 documents
-// cast in O(1), ~140ns, far below per-task dispatch cost).
+// batch APIs, tree and stream: the tracked series is docs/sec at
+// 1→GOMAXPROCS workers. The workload is the Experiment-2 pair — every
+// quantity facet must be checked, so per-document work is linear in items
+// and the curve reflects validation scaling rather than pool overhead
+// (Experiment-1 documents cast in O(1), ~140ns, far below per-task
+// dispatch cost).
 func BenchmarkParallelBatchScaling(b *testing.B) {
 	u := revalidate.NewUniverse()
 	src, err := u.LoadXSDString(wgen.Figure2XSD(false, 200))
@@ -470,29 +593,45 @@ func BenchmarkParallelBatchScaling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	streamCaster, err := revalidate.NewStreamCaster(src, dst)
+	if err != nil {
+		b.Fatal(err)
+	}
 	const batch = 64
 	docs := make([]*revalidate.Document, batch)
+	raw := make([][]byte, batch)
 	for i := range docs {
-		xmlText := wgen.POXMLBytes(wgen.PODocument(wgen.PODocOptions{
+		raw[i] = wgen.POXMLBytes(wgen.PODocument(wgen.PODocOptions{
 			Items: 200, IncludeBillTo: true, MaxQuantity: 99, Seed: int64(i)}))
-		doc, err := revalidate.ParseDocumentString(string(xmlText))
+		doc, err := revalidate.ParseDocument(bytes.NewReader(raw[i]))
 		if err != nil {
 			b.Fatal(err)
 		}
 		docs[i] = doc
 	}
-	for workers := 1; ; workers *= 2 {
-		if workers > runtime.GOMAXPROCS(0) {
-			break
+	checkAll := func(b *testing.B, errs []error) {
+		for _, e := range errs {
+			if e != nil {
+				b.Fatal(e)
+			}
 		}
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	}
+	for workers := 1; workers <= runtime.GOMAXPROCS(0); workers *= 2 {
+		b.Run(fmt.Sprintf("tree-cast/workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				errs, _ := caster.ValidateAll(docs, workers)
-				for _, e := range errs {
-					if e != nil {
-						b.Fatal(e)
-					}
+				checkAll(b, errs)
+			}
+			b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "docs/s")
+		})
+		b.Run(fmt.Sprintf("stream-cast/workers=%d", workers), func(b *testing.B) {
+			rs := make([]io.Reader, batch)
+			for i := 0; i < b.N; i++ {
+				for j := range rs {
+					rs[j] = bytes.NewReader(raw[j])
 				}
+				errs, _ := streamCaster.ValidateAll(rs, workers)
+				checkAll(b, errs)
 			}
 			b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "docs/s")
 		})

@@ -1,55 +1,30 @@
-// Command castbench regenerates every table and figure of the paper's
-// evaluation section (EDBT'04 §6), plus the ablations DESIGN.md calls out:
+// Command castbench prints the tables and figures of the paper's
+// evaluation section (EDBT'04 §6):
 //
 //	-table1   Table 1: abstract-schema view of POType1 (Figure 1a)
 //	-table2   Table 2: input document file sizes, 2..1000 items
 //	-exp1     Figure 3a: Experiment 1 validation times (billTo optional→required)
 //	-exp2     Figure 3b: Experiment 2 validation times (maxExclusive 200→100)
 //	-table3   Table 3: nodes visited during Experiment 2
-//	-mods     extension: incremental revalidation after edits vs. full
-//	-stream   extension: streaming cast vs. parse+tree pipelines
-//	-prep     preprocessing cost (relations + IDA construction)
-//	-parallel extension: batch validation scaling, 1→GOMAXPROCS workers
-//	-json     machine-readable scenario results written to BENCH_cast.json
 //	-all      everything (default when no flag is given)
-//
-// The -json output additionally times registry-cold-vs-warm-start: one
-// pair compile (relations fixpoints + IDA construction) against loading
-// the same pair from a serialized artifact blob — the economy behind
-// castd's -artifact-dir warm restarts.
 //
 // Wall-clock numbers are machine-dependent; the shapes (constant vs.
 // linear, cast vs. baseline ratios) are what reproduce the paper. The
-// -json output pairs each wall-clock number with the machine-independent
-// work ratios (skip ratio, symbols-scanned ratio) so CI can track the
-// shapes without chasing nanoseconds.
+// machine-independent counters behind these tables are pinned exactly by
+// TestLedger (ledger_test.go); the extensions beyond the paper (edits,
+// streaming, preprocessing, parallel batches, cold vs. warm start) are
+// benchmarks in bench_test.go.
 package main
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
-	"testing"
 	"time"
 
-	revalidate "repro"
-	"repro/internal/artifact"
 	"repro/internal/baseline"
 	"repro/internal/cast"
-	"repro/internal/resilience"
-	"repro/internal/strcast"
-	"repro/internal/stream"
-	"repro/internal/subsume"
-	"repro/internal/telemetry"
-	"repro/internal/update"
 	"repro/internal/wgen"
-	"repro/internal/xmltree"
 )
 
 var itemCounts = wgen.PaperItemCounts
@@ -61,22 +36,11 @@ func main() {
 		exp1   = flag.Bool("exp1", false, "Figure 3a: Experiment 1 times")
 		exp2   = flag.Bool("exp2", false, "Figure 3b: Experiment 2 times")
 		table3 = flag.Bool("table3", false, "Table 3: nodes visited in Experiment 2")
-		mods   = flag.Bool("mods", false, "extension: incremental revalidation after edits")
-		strm   = flag.Bool("stream", false, "extension: streaming cast vs parse+tree pipelines")
-		prep   = flag.Bool("prep", false, "preprocessing cost breakdown")
-		par    = flag.Bool("parallel", false, "extension: batch validation scaling across workers")
-		jsonTo = flag.String("json", "", "write machine-readable scenario results to this file (conventionally BENCH_cast.json)")
 		all    = flag.Bool("all", false, "run everything")
 	)
 	flag.Parse()
-	if *jsonTo != "" {
-		runJSON(wgen.NewPaperSchemas(), *jsonTo)
-		return
-	}
-	any := *table1 || *table2 || *exp1 || *exp2 || *table3 || *mods || *strm || *prep || *par
-	if *all || !any {
-		*table1, *table2, *exp1, *exp2, *table3, *mods, *strm, *prep, *par =
-			true, true, true, true, true, true, true, true, true
+	if *all || !(*table1 || *table2 || *exp1 || *exp2 || *table3) {
+		*table1, *table2, *exp1, *exp2, *table3 = true, true, true, true, true
 	}
 
 	ps := wgen.NewPaperSchemas()
@@ -94,18 +58,6 @@ func main() {
 	}
 	if *table3 {
 		runTable3(ps)
-	}
-	if *mods {
-		runModifications(ps)
-	}
-	if *strm {
-		runStreaming(ps)
-	}
-	if *prep {
-		runPreprocessing(ps)
-	}
-	if *par {
-		runParallel()
 	}
 }
 
@@ -214,531 +166,6 @@ func runTable3(ps *wgen.PaperSchemas) {
 	}
 	fmt.Println("   expected shape: cast visits ~70% of the nodes (paper: ~80% on its tree layout)")
 	fmt.Println()
-}
-
-func runModifications(ps *wgen.PaperSchemas) {
-	fmt.Println("== Extension: incremental revalidation after k edits (same schema) ==")
-	engine := cast.MustNew(ps.Target, ps.Target, cast.Options{})
-	base := baseline.New(ps.Target)
-	const items = 1000
-	fmt.Printf("%8s %18s %18s %10s\n", "edits", "incremental", "full revalidation", "speedup")
-	for _, edits := range []int{1, 4, 16, 64} {
-		// Rebuild document + edits each timing round so state stays fixed;
-		// the edit cost itself is excluded by pre-building outside fn.
-		doc := wgen.PODocument(wgen.PODocOptions{Items: items, IncludeBillTo: true, Seed: 7})
-		tk := update.NewTracker(doc)
-		applyEdits(tk, doc, edits)
-		trie := tk.Finalize()
-		incTime := timeIt(func() {
-			if _, err := engine.ValidateModified(doc, trie); err != nil {
-				fatal(err)
-			}
-		})
-		fullTime := timeIt(func() {
-			if _, err := base.Validate(doc); err != nil {
-				fatal(err)
-			}
-		})
-		fmt.Printf("%8d %15dns %15dns %9.1fx\n", edits, incTime.Nanoseconds(), fullTime.Nanoseconds(),
-			float64(fullTime)/float64(incTime))
-	}
-	fmt.Println("   expected shape: incremental cost grows with edits, not document size")
-	fmt.Println()
-}
-
-// applyEdits applies k legal quantity edits spread across the items.
-func applyEdits(tk *update.Tracker, doc *xmltree.Node, k int) {
-	items := doc.Children[2].Children
-	for i := 0; i < k; i++ {
-		item := items[(i*37)%len(items)]
-		qtyText := item.Children[1].Children[0]
-		if err := tk.SetText(qtyText, "7"); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-func runStreaming(ps *wgen.PaperSchemas) {
-	fmt.Println("== Extension: streaming pipelines (documents arrive as bytes) ==")
-	data := wgen.POXMLBytes(wgen.PODocument(wgen.PODocOptions{Items: 500, IncludeBillTo: true, Seed: 11}))
-	engine := cast.MustNew(ps.Source1, ps.Target, cast.Options{})
-	streamCaster, err := stream.NewCaster(ps.Source1, ps.Target)
-	if err != nil {
-		fatal(err)
-	}
-	streamFull := stream.NewValidator(ps.Target)
-	treeTime := timeIt(func() {
-		doc, err := xmltree.ParseString(string(data))
-		if err != nil {
-			fatal(err)
-		}
-		if _, err := engine.Validate(doc); err != nil {
-			fatal(err)
-		}
-	})
-	scTime := timeIt(func() {
-		if _, err := streamCaster.Validate(bytes.NewReader(data)); err != nil {
-			fatal(err)
-		}
-	})
-	sfTime := timeIt(func() {
-		if _, err := streamFull.Validate(bytes.NewReader(data)); err != nil {
-			fatal(err)
-		}
-	})
-	fmt.Printf("  parse + tree cast: %v per 500-item document\n", treeTime)
-	fmt.Printf("  streaming cast:    %v (O(depth) memory, subsumed subtrees skimmed)\n", scTime)
-	fmt.Printf("  streaming full:    %v\n", sfTime)
-	fmt.Println()
-}
-
-func runPreprocessing(ps *wgen.PaperSchemas) {
-	fmt.Println("== Preprocessing cost (static, once per schema pair) ==")
-	relTime := timeIt(func() {
-		subsume.MustCompute(ps.Source1, ps.Target)
-	})
-	engTime := timeIt(func() {
-		cast.MustNew(ps.Source1, ps.Target, cast.Options{})
-	})
-	rel := subsume.MustCompute(ps.Source1, ps.Target)
-	st := rel.Stats()
-	fmt.Printf("  R_sub/R_dis computation: %v (%d subsumed, %d disjoint pairs over %d×%d types)\n",
-		relTime, st.SubsumedPairs, st.DisjointPairs, st.SrcTypes, st.DstTypes)
-	fmt.Printf("  full engine (relations + content IDAs): %v\n", engTime)
-	idaTime := timeIt(func() {
-		a := ps.Source1.TypeOf(ps.Source1.TypeByName("POType1")).DFA
-		b := ps.Target.TypeOf(ps.Target.TypeByName("POType2")).DFA
-		strcast.New(a, b)
-	})
-	fmt.Printf("  one content-model IDA pair (POType1/POType2): %v\n", idaTime)
-	fmt.Println("  memory depends only on schema sizes — never on documents (§7)")
-	fmt.Println()
-}
-
-// parallelWorkerCounts yields 1, 2, 4, ... up to and including GOMAXPROCS.
-func parallelWorkerCounts() []int {
-	max := runtime.GOMAXPROCS(0)
-	var out []int
-	for w := 1; w < max; w *= 2 {
-		out = append(out, w)
-	}
-	return append(out, max)
-}
-
-// runParallel prints the batch-validation scaling curve on one shared
-// caster: the Experiment-2 workload (every quantity facet checked, so
-// per-document work is linear in items) through Caster.ValidateAll, and
-// the same batch as serialized bytes through StreamCaster.ValidateAll.
-func runParallel() {
-	fmt.Println("== Extension: parallel batch validation (shared caster, lock-free hot path) ==")
-	u := revalidate.NewUniverse()
-	src, err := u.LoadXSDString(wgen.Figure2XSD(false, 200))
-	if err != nil {
-		fatal(err)
-	}
-	dst, err := u.LoadXSDString(wgen.Figure2XSD(false, 100))
-	if err != nil {
-		fatal(err)
-	}
-	caster, err := revalidate.NewCaster(src, dst)
-	if err != nil {
-		fatal(err)
-	}
-	streamCaster, err := revalidate.NewStreamCaster(src, dst)
-	if err != nil {
-		fatal(err)
-	}
-	const batch = 64
-	docs := make([]*revalidate.Document, batch)
-	raw := make([][]byte, batch)
-	for i := range docs {
-		raw[i] = wgen.POXMLBytes(wgen.PODocument(wgen.PODocOptions{
-			Items: 200, IncludeBillTo: true, MaxQuantity: 99, Seed: int64(i)}))
-		docs[i], err = revalidate.ParseDocument(bytes.NewReader(raw[i]))
-		if err != nil {
-			fatal(err)
-		}
-	}
-	checkAll := func(errs []error) {
-		for _, e := range errs {
-			if e != nil {
-				fatal(e)
-			}
-		}
-	}
-	fmt.Printf("  batch: %d documents × 200 items, GOMAXPROCS=%d\n", batch, runtime.GOMAXPROCS(0))
-	fmt.Printf("%10s %16s %14s %10s %16s %14s %10s\n",
-		"workers", "tree-cast", "docs/s", "speedup", "stream-cast", "docs/s", "speedup")
-	var treeBase, streamBase time.Duration
-	for _, w := range parallelWorkerCounts() {
-		treeTime := timeIt(func() {
-			errs, _ := caster.ValidateAll(docs, w)
-			checkAll(errs)
-		})
-		streamTime := timeIt(func() {
-			rs := make([]io.Reader, batch)
-			for i := range rs {
-				rs[i] = bytes.NewReader(raw[i])
-			}
-			errs, _ := streamCaster.ValidateAll(rs, w)
-			checkAll(errs)
-		})
-		if treeBase == 0 {
-			treeBase, streamBase = treeTime, streamTime
-		}
-		fmt.Printf("%10d %13dµs %14.0f %9.2fx %13dµs %14.0f %9.2fx\n",
-			w,
-			treeTime.Microseconds(), batch/treeTime.Seconds(), float64(treeBase)/float64(treeTime),
-			streamTime.Microseconds(), batch/streamTime.Seconds(), float64(streamBase)/float64(streamTime))
-	}
-	fmt.Println("   expected shape: docs/s grows with workers up to the core count")
-	fmt.Println("   (flat on single-core machines; the tracked series is the scaling curve)")
-	fmt.Println()
-}
-
-// benchScenario is one row of the -json output: a wall-clock pair plus
-// the machine-independent work ratios that reproduce the paper's shapes.
-type benchScenario struct {
-	// Name identifies the scenario (workload + engine).
-	Name string `json:"name"`
-	// NsPerOp is the cast engine's time per validation.
-	NsPerOp int64 `json:"nsPerOp"`
-	// BaselineNsPerOp is the full (Xerces-style) validator's time on the
-	// same document.
-	BaselineNsPerOp int64 `json:"baselineNsPerOp"`
-	// Speedup is BaselineNsPerOp / NsPerOp.
-	Speedup float64 `json:"speedup"`
-	// SkipRatio is the fraction of the document's nodes (tree engines) or
-	// elements (stream engine) the cast never examined.
-	SkipRatio float64 `json:"skipRatio"`
-	// SymbolsScannedRatio is automaton steps over all content-model symbols
-	// seen: < 1 means immediate decisions cut scanning short.
-	SymbolsScannedRatio float64 `json:"symbolsScannedRatio"`
-	// AllocsPerOp is the steady-state heap allocations per validation on
-	// the cast path. Recorded for the streaming scenarios, where the pooled
-	// scanner hot path is a tracked property; omitted (0) for tree rows.
-	AllocsPerOp int64 `json:"allocsPerOp,omitempty"`
-	// BaselineAllocsPerOp is the same measure for the baseline validator.
-	BaselineAllocsPerOp int64 `json:"baselineAllocsPerOp,omitempty"`
-}
-
-// allocsPerOp measures steady-state allocations of one fn call, after a
-// warm-up round so pools are populated.
-func allocsPerOp(fn func()) int64 {
-	fn()
-	return int64(testing.AllocsPerRun(10, fn))
-}
-
-// runJSON times the representative scenarios (Experiment 1, Experiment 2,
-// streaming cast) and writes them as a JSON array to path. The wall-clock
-// fields are machine-dependent; CI assertions should target the ratios.
-func runJSON(ps *wgen.PaperSchemas, path string) {
-	const items = 1000
-	var out []benchScenario
-
-	// Experiment 1: billTo optional→required, cast skips everything.
-	{
-		engine := cast.MustNew(ps.Source1, ps.Target, cast.Options{})
-		base := baseline.New(ps.Target)
-		doc := wgen.PODocument(wgen.PODocOptions{Items: items, IncludeBillTo: true, Seed: 2004})
-		out = append(out, treeRow("exp1-cast-vs-full-1000", engine, base, doc))
-	}
-	// Experiment 2: maxExclusive 200→100, every quantity rechecked.
-	{
-		engine := cast.MustNew(ps.Source2, ps.Target, cast.Options{})
-		base := baseline.New(ps.Target)
-		doc := wgen.PODocument(wgen.PODocOptions{Items: items, IncludeBillTo: true, MaxQuantity: 99, Seed: 2004})
-		out = append(out, treeRow("exp2-cast-vs-full-1000", engine, base, doc))
-	}
-	// Streaming cast vs. streaming full validation on serialized bytes.
-	// Both run on the same tokenizer and walker, so the ratio is the
-	// paper's algorithmic win alone.
-	{
-		data := wgen.POXMLBytes(wgen.PODocument(wgen.PODocOptions{Items: 500, IncludeBillTo: true, Seed: 11}))
-		sc, err := stream.NewCaster(ps.Source1, ps.Target)
-		if err != nil {
-			fatal(err)
-		}
-		sf := stream.NewValidator(ps.Target)
-		castFn := func() {
-			if _, err := sc.Validate(bytes.NewReader(data)); err != nil {
-				fatal(err)
-			}
-		}
-		fullFn := func() {
-			if _, err := sf.Validate(bytes.NewReader(data)); err != nil {
-				fatal(err)
-			}
-		}
-		castTime := timeIt(castFn)
-		fullTime := timeIt(fullFn)
-		st, err := sc.Validate(bytes.NewReader(data))
-		if err != nil {
-			fatal(err)
-		}
-		out = append(out, benchScenario{
-			Name:                "stream-cast-vs-full-500",
-			NsPerOp:             castTime.Nanoseconds(),
-			BaselineNsPerOp:     fullTime.Nanoseconds(),
-			Speedup:             float64(fullTime) / float64(castTime),
-			SkipRatio:           st.WorkSavedRatio(),
-			SymbolsScannedRatio: st.SymbolsScannedRatio(),
-			AllocsPerOp:         allocsPerOp(castFn),
-			BaselineAllocsPerOp: allocsPerOp(fullFn),
-		})
-	}
-
-	// Runtime-collector overhead: the same streaming cast with the go_*
-	// health sampler ticking at a deliberately hostile cadence (10ms; the
-	// production default is 10s) versus no sampler at all. NsPerOp is the
-	// sampled run, BaselineNsPerOp the quiet one, so Speedup ≈ 1.0 is the
-	// tracked property — the observability tax on the validate path must
-	// stay in the noise. No alloc columns: testing.AllocsPerRun counts
-	// process-wide allocations, and the concurrent sampler would pollute
-	// them.
-	{
-		data := wgen.POXMLBytes(wgen.PODocument(wgen.PODocOptions{Items: 500, IncludeBillTo: true, Seed: 11}))
-		sc, err := stream.NewCaster(ps.Source1, ps.Target)
-		if err != nil {
-			fatal(err)
-		}
-		castFn := func() {
-			if _, err := sc.Validate(bytes.NewReader(data)); err != nil {
-				fatal(err)
-			}
-		}
-		quietTime := timeIt(castFn)
-		col := telemetry.NewRuntimeCollector(telemetry.NewRegistry(), 10*time.Millisecond)
-		col.Start()
-		sampledTime := timeIt(castFn)
-		col.Stop()
-		out = append(out, benchScenario{
-			Name:                "stream-cast-runtime-sampler-500",
-			NsPerOp:             sampledTime.Nanoseconds(),
-			BaselineNsPerOp:     quietTime.Nanoseconds(),
-			Speedup:             float64(quietTime) / float64(sampledTime),
-			SkipRatio:           0,
-			SymbolsScannedRatio: 1,
-		})
-	}
-
-	// Exemplar-recording overhead: the same streaming cast observing its
-	// latency into a histogram with a trace exemplar attached (what every
-	// traced request pays on castd's latency path) versus the plain
-	// observation (what untraced requests pay). NsPerOp is the exemplar
-	// run, BaselineNsPerOp the plain one, so Speedup ≈ 1.0 is the tracked
-	// property: one heap-allocated Exemplar and an atomic pointer store
-	// per observation must stay in the noise next to a 500-item cast.
-	{
-		data := wgen.POXMLBytes(wgen.PODocument(wgen.PODocOptions{Items: 500, IncludeBillTo: true, Seed: 11}))
-		sc, err := stream.NewCaster(ps.Source1, ps.Target)
-		if err != nil {
-			fatal(err)
-		}
-		met := telemetry.NewRegistry()
-		plain := met.Histogram("bench_cast_plain_seconds", "plain path", telemetry.DefBuckets())
-		exemplar := met.Histogram("bench_cast_exemplar_seconds", "exemplar path", telemetry.DefBuckets())
-		const traceID, spanID = "4bf92f3577b34da6a3ce929d0e0e4736", "00f067aa0ba902b7"
-		plainFn := func() {
-			start := time.Now()
-			if _, err := sc.Validate(bytes.NewReader(data)); err != nil {
-				fatal(err)
-			}
-			plain.Observe(time.Since(start).Seconds())
-		}
-		exemplarFn := func() {
-			start := time.Now()
-			if _, err := sc.Validate(bytes.NewReader(data)); err != nil {
-				fatal(err)
-			}
-			exemplar.ObserveExemplar(time.Since(start).Seconds(), traceID, spanID, time.Now())
-		}
-		plainTime := timeIt(plainFn)
-		exemplarTime := timeIt(exemplarFn)
-		out = append(out, benchScenario{
-			Name:                "stream-cast-exemplars-500",
-			NsPerOp:             exemplarTime.Nanoseconds(),
-			BaselineNsPerOp:     plainTime.Nanoseconds(),
-			Speedup:             float64(plainTime) / float64(exemplarTime),
-			SkipRatio:           0,
-			SymbolsScannedRatio: 1,
-			AllocsPerOp:         allocsPerOp(exemplarFn),
-			BaselineAllocsPerOp: allocsPerOp(plainFn),
-		})
-	}
-
-	// Resilience-guard overhead: the same streaming cast with the full
-	// per-operation guard sequence a clustered cast pays on a healthy
-	// peer path — breaker admission check, retry-budget deposit, success
-	// record, latency observation, and the hedge-delay percentile read —
-	// versus the bare cast. NsPerOp is the guarded run, BaselineNsPerOp
-	// the bare one, so Speedup ≈ 1.0 is the tracked property: a few
-	// mutex-guarded counter updates must stay invisible next to a
-	// 500-item cast, and the guard must not allocate (the percentile
-	// read sorts into a stack array, the breaker window is a fixed ring).
-	{
-		data := wgen.POXMLBytes(wgen.PODocument(wgen.PODocOptions{Items: 500, IncludeBillTo: true, Seed: 11}))
-		sc, err := stream.NewCaster(ps.Source1, ps.Target)
-		if err != nil {
-			fatal(err)
-		}
-		br := resilience.NewBreaker(resilience.BreakerConfig{})
-		budget := resilience.NewBudget(0, 0)
-		lat := &resilience.LatencyTracker{}
-		bareFn := func() {
-			if _, err := sc.Validate(bytes.NewReader(data)); err != nil {
-				fatal(err)
-			}
-		}
-		guardedFn := func() {
-			if !br.Allow() {
-				fatal(fmt.Errorf("breaker opened on an all-success run"))
-			}
-			budget.Deposit()
-			start := time.Now()
-			if _, err := sc.Validate(bytes.NewReader(data)); err != nil {
-				fatal(err)
-			}
-			br.Record(true)
-			lat.Observe(time.Since(start))
-			if lat.Percentile(0.95) < 0 {
-				fatal(fmt.Errorf("negative latency percentile"))
-			}
-		}
-		bareTime := timeIt(bareFn)
-		guardedTime := timeIt(guardedFn)
-		out = append(out, benchScenario{
-			Name:                "stream-cast-resilience-guard-500",
-			NsPerOp:             guardedTime.Nanoseconds(),
-			BaselineNsPerOp:     bareTime.Nanoseconds(),
-			Speedup:             float64(bareTime) / float64(guardedTime),
-			SkipRatio:           0,
-			SymbolsScannedRatio: 1,
-			AllocsPerOp:         allocsPerOp(guardedFn),
-			BaselineAllocsPerOp: allocsPerOp(bareFn),
-		})
-	}
-
-	// Cold vs. warm registry startup: acquiring one compiled pair by
-	// compiling it (universe load + relation fixpoints + IDA construction)
-	// versus loading its artifact blob from disk (read + decode + schema
-	// re-parse + fingerprint check). The warm path is what castd pays per
-	// pair after a restart with -artifact-dir.
-	out = append(out, artifactStartupRow())
-
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "castbench: wrote %d scenarios to %s\n", len(out), path)
-}
-
-// artifactStartupRow times the registry-cold-vs-warm-start scenario on a
-// scaled catalog pair (48 section types a side), large enough that the
-// quadratic per-pair work — the R_sub/R_dis fixpoint plus IDA construction
-// — shows over the per-schema compile both paths share. NsPerOp is the
-// warm path (artifact store load: disk read + decode + deterministic
-// schema re-parse + fingerprint check); BaselineNsPerOp is the cold path
-// (full pair compile); Speedup is the warm restart's advantage, and it
-// grows with schema size because only the pair work is skipped. The
-// work-ratio columns are neutral — no document is validated here.
-func artifactStartupRow() benchScenario {
-	srcText, dstText := wgen.ScaledXSD(48, true, 100), wgen.ScaledXSD(48, false, 100)
-	info := func(text string) artifact.SchemaInfo {
-		h := sha256.Sum256([]byte("xsd\x00\x00" + text))
-		return artifact.SchemaInfo{Format: "xsd", Text: text, Hash: hex.EncodeToString(h[:])}
-	}
-	srcInfo, dstInfo := info(srcText), info(dstText)
-
-	compileOnce := func() *revalidate.Caster {
-		u := revalidate.NewUniverse()
-		ss, err := u.LoadXSDString(srcText)
-		if err != nil {
-			fatal(err)
-		}
-		ds, err := u.LoadXSDString(dstText)
-		if err != nil {
-			fatal(err)
-		}
-		c, _, err := revalidate.NewCasterPair(ss, ds)
-		if err != nil {
-			fatal(err)
-		}
-		return c
-	}
-	coldTime := timeIt(func() { compileOnce() })
-
-	dir, err := os.MkdirTemp("", "castbench-artifacts-")
-	if err != nil {
-		fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	store, err := artifact.OpenStore(dir, nil)
-	if err != nil {
-		fatal(err)
-	}
-	caster := compileOnce()
-	blob, err := artifact.Encode(srcInfo, dstInfo, caster, caster.Report())
-	if err != nil {
-		fatal(err)
-	}
-	key := artifact.Key(srcInfo.Hash, dstInfo.Hash)
-	if err := store.Put(key, blob); err != nil {
-		fatal(err)
-	}
-	warmTime := timeIt(func() {
-		if _, err := store.LoadPair(key, nil); err != nil {
-			fatal(err)
-		}
-	})
-
-	return benchScenario{
-		Name:                "registry-cold-vs-warm-start",
-		NsPerOp:             warmTime.Nanoseconds(),
-		BaselineNsPerOp:     coldTime.Nanoseconds(),
-		Speedup:             float64(coldTime) / float64(warmTime),
-		SkipRatio:           0,
-		SymbolsScannedRatio: 1,
-	}
-}
-
-// treeRow times one tree-engine scenario against the full baseline and
-// derives the work ratios from the two Stats.
-func treeRow(name string, engine *cast.Engine, base *baseline.Validator, doc *xmltree.Node) benchScenario {
-	castTime := timeIt(func() {
-		if _, err := engine.Validate(doc); err != nil {
-			fatal(err)
-		}
-	})
-	fullTime := timeIt(func() {
-		if _, err := base.Validate(doc); err != nil {
-			fatal(err)
-		}
-	})
-	cs, err := engine.Validate(doc)
-	if err != nil {
-		fatal(err)
-	}
-	bs, err := base.Validate(doc)
-	if err != nil {
-		fatal(err)
-	}
-	return benchScenario{
-		Name:                name,
-		NsPerOp:             castTime.Nanoseconds(),
-		BaselineNsPerOp:     fullTime.Nanoseconds(),
-		Speedup:             float64(fullTime) / float64(castTime),
-		SkipRatio:           cs.WorkSavedRatio(bs.NodesVisited()),
-		SymbolsScannedRatio: cs.SymbolsScannedRatio(),
-	}
 }
 
 func fatal(err error) {

@@ -49,7 +49,8 @@ func (s Stats) NodesVisited() int64 { return s.ElementsVisited + s.TextNodesVisi
 // WorkSavedRatio is the fraction of a document's nodes the cast never
 // touched, given the document's total node count: 1 − visited/total,
 // clamped to [0, 1]. This is the paper's Table 3 economy as a single
-// number; xmlcast -explain and castbench's BENCH_cast.json report it.
+// number; xmlcast -explain reports it, and TestLedger (ledger_test.go)
+// pins the counters it is computed from.
 func (s Stats) WorkSavedRatio(totalNodes int64) float64 {
 	if totalNodes <= 0 {
 		return 0

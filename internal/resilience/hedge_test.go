@@ -30,17 +30,28 @@ func TestLatencyTrackerPercentile(t *testing.T) {
 	}
 }
 
+// TestLatencyTrackerPercentileNoAllocs pins the whole guard sequence a
+// clustered cast pays on a healthy peer path at zero allocations: breaker
+// admission, retry-budget deposit, success record, latency observation and
+// the hedge-delay percentile read (which sorts into a stack array).
 func TestLatencyTrackerPercentileNoAllocs(t *testing.T) {
+	br := NewBreaker(BreakerConfig{})
+	budget := NewBudget(0, 0)
 	var lt LatencyTracker
 	for i := 0; i < latencySamples; i++ {
 		lt.Observe(time.Duration(i+1) * time.Millisecond)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		_ = lt.Percentile(0.95)
+		if !br.Allow() {
+			t.Fatal("breaker opened on an all-success run")
+		}
+		budget.Deposit()
+		br.Record(true)
 		lt.Observe(time.Millisecond)
+		_ = lt.Percentile(0.95)
 	})
 	if allocs != 0 {
-		t.Fatalf("Percentile+Observe allocated %v per run, want 0", allocs)
+		t.Fatalf("Allow+Deposit+Record+Observe+Percentile allocated %v per run, want 0", allocs)
 	}
 }
 

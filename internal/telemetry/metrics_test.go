@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestHistogramBucketBoundaries pins the `le` semantics: an observation
@@ -29,6 +30,21 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	if want := 0.5 + 1 + 1.5 + 2 + 2.0001 + 5 + 7 + 100; math.Abs(h.Sum()-want) > 1e-9 {
 		t.Fatalf("Sum = %v, want %v", h.Sum(), want)
+	}
+}
+
+// TestHistogramObserveAllocs pins the latency path's allocations: a plain
+// observation is three atomic updates, and an exemplar observation adds
+// one heap-allocated Exemplar behind an atomic pointer.
+func TestHistogramObserveAllocs(t *testing.T) {
+	h := newHistogram(DefBuckets())
+	at := time.Now()
+	if allocs := testing.AllocsPerRun(100, func() { h.Observe(0.003) }); allocs != 0 {
+		t.Errorf("Observe allocated %v per run, want 0", allocs)
+	}
+	const traceID, spanID = "4bf92f3577b34da6a3ce929d0e0e4736", "00f067aa0ba902b7"
+	if allocs := testing.AllocsPerRun(100, func() { h.ObserveExemplar(0.003, traceID, spanID, at) }); allocs > 1 {
+		t.Errorf("ObserveExemplar allocated %v per run, want ≤ 1", allocs)
 	}
 }
 

@@ -338,22 +338,6 @@ func TestCastbenchCLI(t *testing.T) {
 	}
 }
 
-func TestCastbenchParallelCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("castbench timings are slow in -short mode")
-	}
-	bin := filepath.Join(buildTools(t), "castbench")
-	out, _, code := run(t, bin, "-parallel")
-	if code != 0 {
-		t.Fatalf("castbench -parallel failed: %d", code)
-	}
-	for _, want := range []string{"parallel batch validation", "workers", "tree-cast", "stream-cast", "1.00x"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("castbench -parallel output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestXmlcastStreamingCLI(t *testing.T) {
 	bin := filepath.Join(buildTools(t), "xmlcast")
 	_, src, dst, valid, invalid := fixtures(t)
