@@ -7,6 +7,7 @@ import (
 	"repro/internal/cast"
 	"repro/internal/telemetry"
 	"repro/internal/update"
+	"repro/internal/work"
 	"repro/internal/xmltree"
 )
 
@@ -60,79 +61,13 @@ func (c *Caster) Source() *Schema { return c.src }
 // Target returns the caster's target schema.
 func (c *Caster) Target() *Schema { return c.dst }
 
-// Stats reports the work performed by one validation. The node counters
-// are a machine-independent cost measure (the paper's Table 3 metric).
-// Field names are shared with StreamStats and the internal engines so a
-// counter means the same thing wherever it appears.
-type Stats struct {
-	// ElementsVisited counts element nodes examined.
-	ElementsVisited int64
-	// TextNodesVisited counts text leaves whose value was read.
-	TextNodesVisited int64
-	// AutomatonSteps counts automaton transitions taken in content-model
-	// checks — the number of child-label symbols scanned.
-	AutomatonSteps int64
-	// SymbolsSkipped counts child labels seen after an immediate decision
-	// automaton had already settled a content-model verdict.
-	SymbolsSkipped int64
-	// SubsumedSkips counts subtrees skipped outright because the source
-	// type is subsumed by the target type.
-	SubsumedSkips int64
-	// DisjointRejects counts rejections caused by disjoint type pairs.
-	DisjointRejects int64
-	// FullValidations counts subtrees that had to be validated from
-	// scratch (inserted content).
-	FullValidations int64
-	// ReverseScans counts with-modifications content checks that chose the
-	// reverse-automaton scan direction (edits clustered at the end).
-	ReverseScans int64
-	// MaxDepth is the deepest element depth reached (root = 0). Batch
-	// totals merge it with max, not sum.
-	MaxDepth int64
-}
-
-// NodesVisited is the total of element and text nodes examined.
-func (s Stats) NodesVisited() int64 { return s.ElementsVisited + s.TextNodesVisited }
-
-// WorkSavedRatio is the fraction of a document's nodes this validation
-// never touched: 1 − visited/total, clamped to [0, 1]. Pass the document's
-// Document.NodeCount (the tree engine cannot know the size of subtrees it
-// skipped).
-func (s Stats) WorkSavedRatio(totalNodes int64) float64 {
-	if totalNodes <= 0 {
-		return 0
-	}
-	r := 1 - float64(s.NodesVisited())/float64(totalNodes)
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
-// SymbolsScannedRatio is the fraction of content-model symbols actually
-// scanned out of all symbols seen: steps/(steps+skipped). 1 when no
-// immediate decision fired.
-func (s Stats) SymbolsScannedRatio() float64 {
-	total := s.AutomatonSteps + s.SymbolsSkipped
-	if total == 0 {
-		return 1
-	}
-	return float64(s.AutomatonSteps) / float64(total)
-}
-
-func fromCastStats(cs cast.Stats) Stats {
-	return Stats{
-		ElementsVisited:  cs.ElementsVisited,
-		TextNodesVisited: cs.TextNodesVisited,
-		AutomatonSteps:   cs.AutomatonSteps,
-		SymbolsSkipped:   cs.SymbolsSkipped,
-		SubsumedSkips:    cs.SubsumedSkips,
-		DisjointRejects:  cs.DisjointRejects,
-		FullValidations:  cs.FullValidations,
-		ReverseScans:     cs.ReverseScans,
-		MaxDepth:         cs.MaxDepth,
-	}
-}
+// Stats reports the work performed by one validation: the one work record
+// every engine fills, tree and stream alike (StreamStats is the same type).
+// The node counters are a machine-independent cost measure (the paper's
+// Table 3 metric); a tree cast's share of a document left untouched is
+// 1 − NodesVisited/Document.NodeCount. Add merges records, taking the max
+// of MaxDepth.
+type Stats = work.Counters
 
 // TraceEvent is one recorded decision of a traced validation: which action
 // the engine took where, and for which (source, target) type pair. Action
@@ -178,14 +113,12 @@ func (c *Caster) Validate(doc *Document) error {
 // wrapping the context's cause while the hot path stays lock-free. Use it
 // wherever a validation serves a request with a deadline.
 func (c *Caster) ValidateContext(ctx context.Context, doc *Document) (Stats, error) {
-	cs, err := c.engine.ValidateContext(ctx, doc.root)
-	return fromCastStats(cs), err
+	return c.engine.ValidateContext(ctx, doc.root)
 }
 
 // ValidateStats is Validate with work statistics.
 func (c *Caster) ValidateStats(doc *Document) (Stats, error) {
-	cs, err := c.engine.Validate(doc.root)
-	return fromCastStats(cs), err
+	return c.engine.Validate(doc.root)
 }
 
 // ValidateTraced is ValidateStats in trace mode: alongside the verdict and
@@ -196,8 +129,8 @@ func (c *Caster) ValidateStats(doc *Document) (Stats, error) {
 // paths.
 func (c *Caster) ValidateTraced(doc *Document) (Stats, []TraceEvent, error) {
 	tr := &telemetry.Trace{}
-	cs, err := c.engine.ValidateTrace(doc.root, tr)
-	return fromCastStats(cs), fromTraceEvents(tr), err
+	st, err := c.engine.ValidateTrace(doc.root, tr)
+	return st, fromTraceEvents(tr), err
 }
 
 // ValidateAll validates a batch of documents concurrently on a pool of
@@ -205,7 +138,7 @@ func (c *Caster) ValidateTraced(doc *Document) (Stats, []TraceEvent, error) {
 // automata are immutable, so the hot path runs lock-free). workers <= 0
 // uses one worker per logical CPU. The returned slice holds one verdict per
 // document (nil when valid), and the Stats are the batch totals, merged
-// from per-worker counters with atomic adds.
+// from per-worker counters with Add.
 func (c *Caster) ValidateAll(docs []*Document, workers int) ([]error, Stats) {
 	return c.ValidateAllContext(context.Background(), docs, workers)
 }
@@ -216,32 +149,9 @@ func (c *Caster) ValidateAll(docs []*Document, workers int) ([]error, Stats) {
 // slot, never crashes the pool), workers poll ctx between documents, and a
 // canceled batch marks every unclaimed slot with the context's cause.
 func (c *Caster) ValidateAllContext(ctx context.Context, docs []*Document, workers int) ([]error, Stats) {
-	if len(docs) == 0 {
-		return nil, Stats{}
-	}
-	errs := make([]error, len(docs))
-	done := ctx.Done()
-	var total Stats
-	runWorkers(len(docs), workers, func(claim func() (int, bool)) {
-		var local Stats
-		for {
-			i, ok := claim()
-			if !ok {
-				break
-			}
-			if done != nil && ctx.Err() != nil {
-				errs[i] = context.Cause(ctx)
-				continue
-			}
-			cs, err := guardValidate(func() (cast.Stats, error) {
-				return c.engine.ValidateContext(ctx, docs[i].root)
-			})
-			errs[i] = err
-			local.Add(fromCastStats(cs))
-		}
-		total.atomicAdd(local)
+	return validateAll(ctx, len(docs), workers, func(i int) (Stats, error) {
+		return c.engine.ValidateContext(ctx, docs[i].root)
 	})
-	return errs, total
 }
 
 // ValidateModified decides whether an edited document is valid under the
@@ -254,8 +164,7 @@ func (c *Caster) ValidateModified(doc *Document, changes *ChangeSet) error {
 
 // ValidateModifiedStats is ValidateModified with work statistics.
 func (c *Caster) ValidateModifiedStats(doc *Document, changes *ChangeSet) (Stats, error) {
-	cs, err := c.engine.ValidateModified(doc.root, changes.trie)
-	return fromCastStats(cs), err
+	return c.engine.ValidateModified(doc.root, changes.trie)
 }
 
 // Index gives direct access to all instances of each element label in a
@@ -281,20 +190,14 @@ func (c *Caster) ValidateIndexed(doc *Document, index *Index) error {
 
 // ValidateIndexedStats is ValidateIndexed with work statistics.
 func (c *Caster) ValidateIndexedStats(doc *Document, index *Index) (Stats, error) {
-	cs, err := c.engine.ValidateDTD(doc.root, index.idx)
-	return fromCastStats(cs), err
+	return c.engine.ValidateDTD(doc.root, index.idx)
 }
 
 // ValidateFull runs a complete target-schema validation of the document
 // (the Xerces-style baseline) with the same instrumentation, for
 // comparison against the cast paths.
 func (s *Schema) ValidateFull(doc *Document) (Stats, error) {
-	bs, err := baseline.New(s.s).Validate(doc.root)
-	return Stats{
-		ElementsVisited:  bs.ElementsVisited,
-		TextNodesVisited: bs.TextNodesVisited,
-		AutomatonSteps:   bs.AutomatonSteps,
-	}, err
+	return baseline.New(s.s).Validate(doc.root)
 }
 
 // EditSession applies tracked edits to a document, Δ-encoding them so that

@@ -114,7 +114,7 @@ func main() {
 		printTrace(trace)
 		fmt.Fprintf(os.Stderr, "explain: %d skips, %d rejects; visited %d of %d nodes (work saved %.1f%%), scanned %d symbols (skipped %d)\n",
 			st.SubsumedSkips, st.DisjointRejects,
-			st.NodesVisited(), doc.NodeCount(), 100*st.WorkSavedRatio(int64(doc.NodeCount())),
+			st.NodesVisited(), doc.NodeCount(), 100*(1-float64(st.NodesVisited())/float64(doc.NodeCount())),
 			st.AutomatonSteps, st.SymbolsSkipped)
 		report("schema cast", st, err, *stats)
 		return

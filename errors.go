@@ -33,9 +33,8 @@ func (e *PanicError) Error() string {
 }
 
 // guardValidate runs one document's validation under a panic guard,
-// converting a panic into a *PanicError verdict. The stats type is generic
-// so both the tree and streaming batch pools share one guard.
-func guardValidate[S any](body func() (S, error)) (st S, err error) {
+// converting a panic into a *PanicError verdict.
+func guardValidate(body func() (Stats, error)) (st Stats, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = &PanicError{Value: rec, Stack: debug.Stack()}

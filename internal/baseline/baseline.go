@@ -12,31 +12,9 @@ import (
 
 	"repro/internal/fa"
 	"repro/internal/schema"
+	"repro/internal/work"
 	"repro/internal/xmltree"
 )
-
-// Stats counts the work a validation performed. The node counters are the
-// machine-independent cost metric of the paper's Table 3.
-type Stats struct {
-	// ElementsVisited counts element nodes examined.
-	ElementsVisited int64
-	// TextNodesVisited counts χ leaves whose value was read.
-	TextNodesVisited int64
-	// AutomatonSteps counts DFA transitions taken during content-model
-	// checks.
-	AutomatonSteps int64
-}
-
-// NodesVisited is the total of element and text nodes examined — the
-// quantity reported in Table 3.
-func (s Stats) NodesVisited() int64 { return s.ElementsVisited + s.TextNodesVisited }
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.ElementsVisited += other.ElementsVisited
-	s.TextNodesVisited += other.TextNodesVisited
-	s.AutomatonSteps += other.AutomatonSteps
-}
 
 // Validator performs full validation against one schema.
 type Validator struct {
@@ -54,8 +32,8 @@ func New(s *schema.Schema) *Validator {
 // Validate fully validates the document, returning collected statistics
 // alongside the verdict. Trees carrying Δ annotations are validated in
 // their post-modification projection.
-func (v *Validator) Validate(doc *xmltree.Node) (Stats, error) {
-	var st Stats
+func (v *Validator) Validate(doc *xmltree.Node) (work.Counters, error) {
+	var st work.Counters
 	if doc.IsText() {
 		return st, &schema.ValidationError{Path: "/", Reason: "root must be an element"}
 	}
@@ -75,11 +53,11 @@ func (v *Validator) Validate(doc *xmltree.Node) (Stats, error) {
 // accumulating into st. The subtree's root element is assumed already
 // counted by the caller (Validate counts it; recursive calls count children
 // as they reach them).
-func (v *Validator) ValidateType(τ schema.TypeID, e *xmltree.Node, st *Stats) error {
+func (v *Validator) ValidateType(τ schema.TypeID, e *xmltree.Node, st *work.Counters) error {
 	return v.validateType(τ, e, st)
 }
 
-func (v *Validator) validateType(τ schema.TypeID, e *xmltree.Node, st *Stats) error {
+func (v *Validator) validateType(τ schema.TypeID, e *xmltree.Node, st *work.Counters) error {
 	t := v.S.TypeOf(τ)
 	if t.Simple {
 		return v.validateSimple(t, e, st)
@@ -135,7 +113,7 @@ func (v *Validator) validateType(τ schema.TypeID, e *xmltree.Node, st *Stats) e
 	return nil
 }
 
-func (v *Validator) validateSimple(t *schema.Type, e *xmltree.Node, st *Stats) error {
+func (v *Validator) validateSimple(t *schema.Type, e *xmltree.Node, st *work.Counters) error {
 	value := ""
 	seen := 0
 	for _, c := range e.Children {

@@ -103,18 +103,6 @@ func TestValidateSkipsTombstones(t *testing.T) {
 	}
 }
 
-func TestStatsAdd(t *testing.T) {
-	a := Stats{ElementsVisited: 1, TextNodesVisited: 2, AutomatonSteps: 3}
-	b := Stats{ElementsVisited: 10, TextNodesVisited: 20, AutomatonSteps: 30}
-	a.Add(b)
-	if a.ElementsVisited != 11 || a.TextNodesVisited != 22 || a.AutomatonSteps != 33 {
-		t.Fatalf("Add wrong: %+v", a)
-	}
-	if a.NodesVisited() != 33 {
-		t.Fatalf("NodesVisited = %d", a.NodesVisited())
-	}
-}
-
 func TestNewPanicsOnUncompiled(t *testing.T) {
 	s := schema.New(nil)
 	if _, err := s.AddComplexType("T", regexpsym.Epsilon{}); err != nil {

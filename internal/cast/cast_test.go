@@ -8,6 +8,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/schema"
 	"repro/internal/wgen"
+	"repro/internal/work"
 	"repro/internal/xmltree"
 )
 
@@ -43,7 +44,7 @@ func TestExperiment1Semantics(t *testing.T) {
 // the engine only inspects the root's children, never the subtrees.
 func TestExperiment1ConstantWork(t *testing.T) {
 	_, e1, _ := paperEngines(t, Options{})
-	var first Stats
+	var first work.Counters
 	for i, n := range []int{2, 100, 1000} {
 		doc := wgen.PODocument(wgen.PODocOptions{Items: n, IncludeBillTo: true, Seed: 7})
 		st, err := e1.Validate(doc)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/fa"
 	"repro/internal/regexpsym"
 	"repro/internal/schema"
+	"repro/internal/work"
 	"repro/internal/xmltree"
 )
 
@@ -70,7 +71,7 @@ func TestCheckContentVetsLabelsAfterDecision(t *testing.T) {
 	// Sanity: a well-formed child string passes.
 	good := xmltree.NewElement("root",
 		xmltree.NewElement("a"), xmltree.NewElement("b"), xmltree.NewElement("b"))
-	var st Stats
+	var st work.Counters
 	if err := e.checkContent(tS, tD, good, &st); err != nil {
 		t.Fatalf("a b b should satisfy the target model: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fa"
 	"repro/internal/schema"
+	"repro/internal/work"
 	"repro/internal/xmltree"
 )
 
@@ -34,8 +35,8 @@ func BuildLabelIndex(doc *xmltree.Node) LabelIndex {
 // content requires checking. Both schemas must be DTD-shaped (IsDTD).
 //
 // The document is assumed valid under the source schema; idx must index it.
-func (e *Engine) ValidateDTD(doc *xmltree.Node, idx LabelIndex) (Stats, error) {
-	var st Stats
+func (e *Engine) ValidateDTD(doc *xmltree.Node, idx LabelIndex) (work.Counters, error) {
+	var st work.Counters
 	if !e.Src.IsDTD() || !e.Dst.IsDTD() {
 		return st, fmt.Errorf("cast: ValidateDTD requires DTD-shaped schemas")
 	}
@@ -89,8 +90,7 @@ func (e *Engine) ValidateDTD(doc *xmltree.Node, idx LabelIndex) (Stats, error) {
 				continue
 			}
 			if tS.Simple {
-				bs, err := fullValidateSubtree(e, τp, n)
-				st.addBaseline(bs)
+				err := e.fullValidate(τp, n, &st)
 				if err != nil {
 					return st, err
 				}

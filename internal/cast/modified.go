@@ -6,6 +6,7 @@ import (
 	"repro/internal/fa"
 	"repro/internal/schema"
 	"repro/internal/update"
+	"repro/internal/work"
 	"repro/internal/xmltree"
 )
 
@@ -27,8 +28,8 @@ import (
 //     unmodified prefix/suffix of the child label string re-synchronizes
 //     into c_immed), and children are revalidated recursively under
 //     types_τ(Proj_old) and types_τ'(Proj_new).
-func (e *Engine) ValidateModified(doc *xmltree.Node, trie *update.Trie) (Stats, error) {
-	var st Stats
+func (e *Engine) ValidateModified(doc *xmltree.Node, trie *update.Trie) (work.Counters, error) {
+	var st work.Counters
 	if doc.IsText() {
 		return st, &schema.ValidationError{Path: "/", Reason: "root must be an element"}
 	}
@@ -45,8 +46,7 @@ func (e *Engine) ValidateModified(doc *xmltree.Node, trie *update.Trie) (Stats, 
 		}
 	}
 	if doc.Delta == xmltree.DeltaInsert {
-		bs, err := fullValidateSubtree(e, τp, doc)
-		st.addBaseline(bs)
+		err := e.fullValidate(τp, doc, &st)
 		return st, err
 	}
 	oldLabel, _, _ := doc.ProjOld()
@@ -58,8 +58,8 @@ func (e *Engine) ValidateModified(doc *xmltree.Node, trie *update.Trie) (Stats, 
 	return st, err
 }
 
-func (e *Engine) castValidateMod(τ, τp schema.TypeID, node *xmltree.Node, trie *update.Trie, st *Stats, depth int) error {
-	st.noteDepth(depth)
+func (e *Engine) castValidateMod(τ, τp schema.TypeID, node *xmltree.Node, trie *update.Trie, st *work.Counters, depth int) error {
+	st.NoteDepth(int64(depth))
 	// Case 1: untouched subtree — the no-modifications cast applies.
 	if !trie.Modified() && node.Delta == xmltree.DeltaNone {
 		return e.castValidate(τ, τp, node, st, depth, nil, nil)
@@ -93,8 +93,7 @@ func (e *Engine) castValidateMod(τ, τp schema.TypeID, node *xmltree.Node, trie
 		if c.Delta == xmltree.DeltaInsert {
 			// Case 3: inserted subtree — full validation, no source
 			// knowledge.
-			bs, err := fullValidateSubtree(e, ν, c)
-			st.addBaseline(bs)
+			err := e.fullValidate(ν, c, st)
 			if err != nil {
 				return err
 			}
@@ -103,8 +102,7 @@ func (e *Engine) castValidateMod(τ, τp schema.TypeID, node *xmltree.Node, trie
 		if tS.Simple {
 			// The source type tells us nothing about element children (it
 			// had none); validate explicitly.
-			bs, err := fullValidateSubtree(e, ν, c)
-			st.addBaseline(bs)
+			err := e.fullValidate(ν, c, st)
 			if err != nil {
 				return err
 			}
@@ -130,7 +128,7 @@ func (e *Engine) castValidateMod(τ, τp schema.TypeID, node *xmltree.Node, trie
 // label string let the scan re-synchronize into c_immed instead of running
 // the whole string through the target DFA. Falls back to a plain
 // b_immed scan when the ablation switch disables content IDAs.
-func (e *Engine) checkContentModified(tS, tD *schema.Type, node *xmltree.Node, st *Stats) ([]*xmltree.Node, error) {
+func (e *Engine) checkContentModified(tS, tD *schema.Type, node *xmltree.Node, st *work.Counters) ([]*xmltree.Node, error) {
 	var (
 		oldWord, newWord []fa.Symbol
 		kids             []*xmltree.Node

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fa"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
+	"repro/internal/work"
 	"repro/internal/xmltree"
 )
 
@@ -36,7 +37,7 @@ func newCancelCheck(ctx context.Context) *cancelCheck {
 }
 
 // check polls for cancellation once per cancelCheckEvery calls.
-func (cc *cancelCheck) check(st *Stats) error {
+func (cc *cancelCheck) check(st *work.Counters) error {
 	if cc == nil {
 		return nil
 	}
@@ -60,8 +61,8 @@ func (cc *cancelCheck) check(st *Stats) error {
 // document turns out not to be valid under the source schema, Validate
 // reports an error (it never wrongly accepts, but the error may then blame
 // the contract rather than the target schema).
-func (e *Engine) Validate(doc *xmltree.Node) (Stats, error) {
-	var st Stats
+func (e *Engine) Validate(doc *xmltree.Node) (work.Counters, error) {
+	var st work.Counters
 	err := e.validateRoot(doc, &st, nil, nil)
 	return st, err
 }
@@ -71,8 +72,8 @@ func (e *Engine) Validate(doc *xmltree.Node) (Stats, error) {
 // counter decrement per element and a canceled validation returns (with an
 // error wrapping the context's cause) within one check interval. A context
 // that can never be canceled costs nothing beyond a nil check.
-func (e *Engine) ValidateContext(ctx context.Context, doc *xmltree.Node) (Stats, error) {
-	var st Stats
+func (e *Engine) ValidateContext(ctx context.Context, doc *xmltree.Node) (work.Counters, error) {
+	var st work.Counters
 	err := e.validateRoot(doc, &st, nil, newCancelCheck(ctx))
 	return st, err
 }
@@ -83,13 +84,13 @@ func (e *Engine) ValidateContext(ctx context.Context, doc *xmltree.Node) (Stats,
 // trace makes a verdict explainable — it costs allocations proportional to
 // the number of decisions and is meant for -explain / ?explain=1 requests,
 // not the hot path (which passes a nil trace and pays only a pointer test).
-func (e *Engine) ValidateTrace(doc *xmltree.Node, tr *telemetry.Trace) (Stats, error) {
-	var st Stats
+func (e *Engine) ValidateTrace(doc *xmltree.Node, tr *telemetry.Trace) (work.Counters, error) {
+	var st work.Counters
 	err := e.validateRoot(doc, &st, tr, nil)
 	return st, err
 }
 
-func (e *Engine) validateRoot(doc *xmltree.Node, st *Stats, tr *telemetry.Trace, cc *cancelCheck) error {
+func (e *Engine) validateRoot(doc *xmltree.Node, st *work.Counters, tr *telemetry.Trace, cc *cancelCheck) error {
 	if doc.IsText() {
 		return &schema.ValidationError{Path: "/", Reason: "root must be an element"}
 	}
@@ -146,8 +147,8 @@ func deweyString(n *xmltree.Node) string {
 // τ' (target). The node itself has been counted by the caller. depth is the
 // node's element depth (root = 0); tr, when non-nil, receives one event per
 // decision.
-func (e *Engine) castValidate(τ, τp schema.TypeID, node *xmltree.Node, st *Stats, depth int, tr *telemetry.Trace, cc *cancelCheck) error {
-	st.noteDepth(depth)
+func (e *Engine) castValidate(τ, τp schema.TypeID, node *xmltree.Node, st *work.Counters, depth int, tr *telemetry.Trace, cc *cancelCheck) error {
+	st.NoteDepth(int64(depth))
 	if err := cc.check(st); err != nil {
 		return err
 	}
@@ -188,8 +189,7 @@ func (e *Engine) castValidate(τ, τp schema.TypeID, node *xmltree.Node, st *Sta
 		// content is text or empty; it satisfies the complex target only
 		// when childless with ε in the content model. Full validation of
 		// this shallow node settles it.
-		bs, err := fullValidateSubtree(e, τp, node)
-		st.addBaseline(bs)
+		err := e.fullValidate(τp, node, st)
 		if tr != nil {
 			tr.Record(e.traceEvent(telemetry.ActionFull, node, depth, τ, τp, "source type simple: full validation against target"))
 		}
@@ -248,7 +248,7 @@ func (e *Engine) castValidate(τ, τp schema.TypeID, node *xmltree.Node, st *Sta
 // membership in L(regexp_τ') is then guaranteed without reading the
 // remaining labels, though text-freeness is still enforced over the rest —
 // those post-decision labels count as SymbolsSkipped, not AutomatonSteps.
-func (e *Engine) checkContent(tS, tD *schema.Type, node *xmltree.Node, st *Stats) error {
+func (e *Engine) checkContent(tS, tD *schema.Type, node *xmltree.Node, st *work.Counters) error {
 	var ida *fa.IDA
 	var state int
 	decided := false
@@ -327,7 +327,7 @@ func (e *Engine) contentError(tD *schema.Type, node *xmltree.Node) error {
 
 // checkSimple validates the node's text content against a simple target
 // type.
-func (e *Engine) checkSimple(tD *schema.Type, node *xmltree.Node, st *Stats) error {
+func (e *Engine) checkSimple(tD *schema.Type, node *xmltree.Node, st *work.Counters) error {
 	value := ""
 	seen := 0
 	for _, c := range node.Children {
@@ -359,4 +359,11 @@ func (e *Engine) checkSimple(tD *schema.Type, node *xmltree.Node, st *Stats) err
 		}
 	}
 	return nil
+}
+
+// fullValidate hands a subtree whose root the caller has already counted
+// to the target-schema full validator; its work accumulates into st.
+func (e *Engine) fullValidate(τp schema.TypeID, node *xmltree.Node, st *work.Counters) error {
+	st.FullValidations++
+	return e.full.ValidateType(τp, node, st)
 }

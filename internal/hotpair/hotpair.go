@@ -21,33 +21,21 @@ import (
 	"sync"
 
 	"repro/internal/telemetry"
+	"repro/internal/work"
 )
 
-// Stats accumulates one attribution bucket (a tracked pair, or `other`).
+// Stats accumulates one attribution bucket (a tracked pair, or `other`):
+// its casts, their wall-clock seconds and their work record.
 type Stats struct {
-	Casts           int64   `json:"casts"`
-	Seconds         float64 `json:"seconds"`
-	ElementsVisited int64   `json:"elementsVisited"`
-	ElementsSkimmed int64   `json:"elementsSkimmed"`
-	SubsumedSkips   int64   `json:"subsumedSkips"`
+	Casts   int64   `json:"casts"`
+	Seconds float64 `json:"seconds"`
+	work.Counters
 }
 
-func (s *Stats) fold(o Stats) {
+func (s *Stats) add(o Stats) {
 	s.Casts += o.Casts
 	s.Seconds += o.Seconds
-	s.ElementsVisited += o.ElementsVisited
-	s.ElementsSkimmed += o.ElementsSkimmed
-	s.SubsumedSkips += o.SubsumedSkips
-}
-
-// WorkSavedRatio is the fraction of elements skimmed instead of visited
-// across the bucket's casts; 0 when nothing flowed.
-func (s Stats) WorkSavedRatio() float64 {
-	total := s.ElementsVisited + s.ElementsSkimmed
-	if total == 0 {
-		return 0
-	}
-	return float64(s.ElementsSkimmed) / float64(total)
+	s.Counters.Add(o.Counters)
 }
 
 // Entry is one tracked pair with its identity and accumulated stats.
@@ -100,7 +88,7 @@ func (t *Tracker) Observe(key, src, dst string, st Stats) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if e, ok := t.tracked[key]; ok {
-		e.Stats.fold(st)
+		e.Stats.add(st)
 		return
 	}
 	if len(t.tracked) < t.k {
@@ -112,13 +100,13 @@ func (t *Tracker) Observe(key, src, dst string, st Stats) {
 	// incumbent — so a stream of one-shot pairs cannot churn the table.
 	victim := t.coldest()
 	if st.Seconds > victim.Seconds {
-		t.other.fold(victim.Stats)
+		t.other.add(victim.Stats)
 		t.evictions++
 		delete(t.tracked, victim.Key)
 		t.tracked[key] = &Entry{Key: key, Src: src, Dst: dst, Stats: st}
 		return
 	}
-	t.other.fold(st)
+	t.other.add(st)
 }
 
 // coldest picks the eviction candidate: minimum seconds, ties broken

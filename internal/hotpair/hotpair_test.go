@@ -8,11 +8,12 @@ import (
 	"testing"
 
 	"repro/internal/telemetry"
+	"repro/internal/work"
 )
 
 func obs(seconds float64, casts, visited, skimmed int64) Stats {
 	return Stats{Casts: casts, Seconds: seconds,
-		ElementsVisited: visited, ElementsSkimmed: skimmed}
+		Counters: work.Counters{ElementsVisited: visited, ElementsSkimmed: skimmed}}
 }
 
 func TestTrackerAccumulates(t *testing.T) {

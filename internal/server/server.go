@@ -65,6 +65,7 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/otlp"
+	"repro/internal/work"
 )
 
 // maxSchemaBytes bounds a PUT /schemas body; schema texts are small, and
@@ -211,26 +212,16 @@ type Server struct {
 	reqRegister, reqCast, reqBatch, reqPairs atomic.Int64
 	verdictValid, verdictInvalid             atomic.Int64
 
-	// Cumulative streaming-work counters across all cast requests; the
-	// skimmed count is the serving-layer view of the paper's "skipped
-	// subtrees" economy.
-	elementsVisited, elementsSkimmed, automatonSteps, valuesChecked atomic.Int64
-
 	// Prometheus families. Labeled series are resolved in New or once per
 	// request — never per element.
-	met              *telemetry.Registry
-	httpRequests     *telemetry.CounterVec   // route, code
-	httpDuration     *telemetry.HistogramVec // route
-	castDuration     *telemetry.Histogram    // the cast-latency exemplar carrier
-	inFlight         *telemetry.Gauge
-	verdicts         *telemetry.CounterVec // verdict
-	mElemVisited     *telemetry.Counter
-	mElemSkimmed     *telemetry.Counter
-	mSubtreesSkipped *telemetry.Counter
-	mSubtreesRejectd *telemetry.Counter
-	mSymbolsScanned  *telemetry.Counter
-	mSymbolsSkipped  *telemetry.Counter
-	mValuesChecked   *telemetry.Counter
+	met          *telemetry.Registry
+	httpRequests *telemetry.CounterVec   // route, code
+	httpDuration *telemetry.HistogramVec // route
+	castDuration *telemetry.Histogram    // the cast-latency exemplar carrier
+	inFlight     *telemetry.Gauge
+	verdicts     *telemetry.CounterVec // verdict
+	// workFamilies[i] is the cumulative family of workRows[i].
+	workFamilies []*telemetry.Counter
 
 	// Fault-containment families.
 	mPanics    *telemetry.Counter   // panics recovered (middleware + batch slots)
@@ -339,20 +330,9 @@ func New(reg *registry.Registry, opts Options) *Server {
 		"HTTP requests currently being served.")
 	s.verdicts = met.CounterVec("cast_verdicts_total",
 		"Cast validation verdicts.", "verdict")
-	s.mElemVisited = met.Counter("cast_elements_visited_total",
-		"Elements that received validation work.")
-	s.mElemSkimmed = met.Counter("cast_elements_skimmed_total",
-		"Elements consumed inside subsumed subtrees with no validation work.")
-	s.mSubtreesSkipped = met.Counter("cast_subtrees_skipped_total",
-		"Subtrees skipped because the (source, target) type pair is subsumed.")
-	s.mSubtreesRejectd = met.Counter("cast_subtrees_rejected_total",
-		"Rejections due to disjoint (source, target) type pairs.")
-	s.mSymbolsScanned = met.Counter("cast_symbols_scanned_total",
-		"Content-model symbols scanned (automaton transitions taken).")
-	s.mSymbolsSkipped = met.Counter("cast_symbols_skipped_total",
-		"Content-model symbols skipped after an immediate decision.")
-	s.mValuesChecked = met.Counter("cast_values_checked_total",
-		"Simple values tested against target facets.")
+	for _, row := range workRows {
+		s.workFamilies = append(s.workFamilies, met.Counter(row.family, row.help))
+	}
 	s.mPanics = met.Counter("castd_panics_total",
 		"Panics recovered by the request middleware and batch workers.")
 	s.mShed = met.Counter("castd_shed_total",
@@ -1018,31 +998,43 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, e)
 }
 
-// streamStatsBody is the JSON shape of per-request streaming work.
-type streamStatsBody struct {
-	ElementsVisited int64   `json:"elementsVisited"`
-	ElementsSkimmed int64   `json:"elementsSkimmed"`
-	AutomatonSteps  int64   `json:"automatonSteps"`
-	SymbolsSkipped  int64   `json:"symbolsSkipped"`
-	SubsumedSkips   int64   `json:"subsumedSkips"`
-	DisjointRejects int64   `json:"disjointRejects"`
-	ValuesChecked   int64   `json:"valuesChecked"`
-	MaxDepth        int64   `json:"maxDepth"`
-	WorkSavedRatio  float64 `json:"workSavedRatio"`
+// workRow is one counter of the work record as castd exports it: the
+// cumulative Prometheus family it adds to, and the attribute it sets on
+// the cast.validate and cast.batch spans (recordStats does both). The
+// per-request JSON body is the record itself (statsBody), so its keys
+// follow the work.Counters tags.
+type workRow struct {
+	field  func(*work.Counters) *int64
+	family string
+	help   string
+	attr   string
 }
 
-func toStatsBody(st revalidate.StreamStats) streamStatsBody {
-	return streamStatsBody{
-		ElementsVisited: st.ElementsVisited,
-		ElementsSkimmed: st.ElementsSkimmed,
-		AutomatonSteps:  st.AutomatonSteps,
-		SymbolsSkipped:  st.SymbolsSkipped,
-		SubsumedSkips:   st.SubsumedSkips,
-		DisjointRejects: st.DisjointRejects,
-		ValuesChecked:   st.ValuesChecked,
-		MaxDepth:        st.MaxDepth,
-		WorkSavedRatio:  st.WorkSavedRatio(),
-	}
+// workRows is castd's one counter table. MaxDepth has no row: a
+// cumulative max depth is not a counter, so it appears only per request.
+var workRows = []workRow{
+	{func(c *work.Counters) *int64 { return &c.ElementsVisited }, "cast_elements_visited_total",
+		"Elements that received validation work.", "elements.visited"},
+	{func(c *work.Counters) *int64 { return &c.ElementsSkimmed }, "cast_elements_skimmed_total",
+		"Elements consumed inside subsumed subtrees with no validation work.", "elements.skimmed"},
+	{func(c *work.Counters) *int64 { return &c.SubsumedSkips }, "cast_subtrees_skipped_total",
+		"Subtrees skipped because the (source, target) type pair is subsumed.", "subtrees.skipped"},
+	{func(c *work.Counters) *int64 { return &c.DisjointRejects }, "cast_subtrees_rejected_total",
+		"Rejections due to disjoint (source, target) type pairs.", "subtrees.rejected"},
+	{func(c *work.Counters) *int64 { return &c.AutomatonSteps }, "cast_symbols_scanned_total",
+		"Content-model symbols scanned (automaton transitions taken).", "symbols.scanned"},
+	{func(c *work.Counters) *int64 { return &c.SymbolsSkipped }, "cast_symbols_skipped_total",
+		"Content-model symbols skipped after an immediate decision.", "symbols.skipped"},
+	{func(c *work.Counters) *int64 { return &c.ValuesChecked }, "cast_values_checked_total",
+		"Simple values tested against target facets.", "values.checked"},
+}
+
+// statsBody is the JSON shape of a request's work: the work record (the
+// stream fills no tree-only field, so those keys are omitted) plus its
+// work-saved ratio.
+type statsBody struct {
+	work.Counters
+	WorkSavedRatio float64 `json:"workSavedRatio"`
 }
 
 // recordPair attributes one cast's wall-clock cost and work economy to its
@@ -1054,38 +1046,29 @@ func (s *Server) recordPair(p *registry.Pair, d time.Duration, st revalidate.Str
 		return
 	}
 	key := artifact.Key(p.Src.Hash, p.Dst.Hash)[:12]
-	s.hotPairs.Observe(key, p.Src.ID, p.Dst.ID, hotpair.Stats{
-		Casts:           casts,
-		Seconds:         d.Seconds(),
-		ElementsVisited: st.ElementsVisited,
-		ElementsSkimmed: st.ElementsSkimmed,
-		SubsumedSkips:   st.SubsumedSkips,
-	})
+	s.hotPairs.Observe(key, p.Src.ID, p.Dst.ID, hotpair.Stats{Casts: casts, Seconds: d.Seconds(), Counters: st})
 }
 
-// recordStats folds one request's streaming work into the cumulative
-// counters (legacy JSON atomics and Prometheus families) and returns the
-// per-request JSON body. One call per request — the engines never touch
-// telemetry mid-validation.
-func (s *Server) recordStats(st revalidate.StreamStats) streamStatsBody {
-	s.elementsVisited.Add(st.ElementsVisited)
-	s.elementsSkimmed.Add(st.ElementsSkimmed)
-	s.automatonSteps.Add(st.AutomatonSteps)
-	s.valuesChecked.Add(st.ValuesChecked)
-	s.mElemVisited.Add(st.ElementsVisited)
-	s.mElemSkimmed.Add(st.ElementsSkimmed)
-	s.mSubtreesSkipped.Add(st.SubsumedSkips)
-	s.mSubtreesRejectd.Add(st.DisjointRejects)
-	s.mSymbolsScanned.Add(st.AutomatonSteps)
-	s.mSymbolsSkipped.Add(st.SymbolsSkipped)
-	s.mValuesChecked.Add(st.ValuesChecked)
-	return toStatsBody(st)
+// recordStats adds the request's work in body to every table family,
+// sets it on the request's cast span when traced, and fills in body's
+// work-saved ratio: one pass over the table per request — the engines
+// never touch telemetry mid-validation. body is the response's own stats
+// field, so the table's pointer accessors cost no copy of the record.
+func (s *Server) recordStats(sp *telemetry.Span, body *statsBody) {
+	for i, row := range workRows {
+		v := *row.field(&body.Counters)
+		s.workFamilies[i].Add(v)
+		if sp != nil {
+			sp.SetAttr(row.attr, v)
+		}
+	}
+	body.WorkSavedRatio = body.Counters.WorkSavedRatio()
 }
 
 type castResponse struct {
-	Valid bool            `json:"valid"`
-	Error string          `json:"error,omitempty"`
-	Stats streamStatsBody `json:"stats"`
+	Valid bool      `json:"valid"`
+	Error string    `json:"error,omitempty"`
+	Stats statsBody `json:"stats"`
 	// Trace holds the decision events when the request asked ?explain=1.
 	Trace []revalidate.TraceEvent `json:"trace,omitempty"`
 }
@@ -1126,17 +1109,17 @@ func (s *Server) handleCast(w http.ResponseWriter, r *http.Request) {
 	castDur := time.Since(castStart)
 	s.recordPair(p, castDur, st, 1)
 	s.observeCast(castDur, sp)
-	annotateCastSpan(sp, st, trace, err)
+	resp := &castResponse{Valid: err == nil, Stats: statsBody{Counters: st}, Trace: trace}
+	s.recordStats(sp, &resp.Stats)
+	annotateCastSpan(sp, trace, err)
 	sp.End()
 	if status, governed := governanceStatus(err); governed {
 		// A governance rejection is not a validity verdict: the cast was
 		// cut short, so neither valid nor invalid moves — the structured
 		// error names the limit that fired.
-		s.recordStats(st)
 		writeError(w, status, "%v", err)
 		return
 	}
-	resp := castResponse{Valid: err == nil, Stats: s.recordStats(st), Trace: trace}
 	if err != nil {
 		s.verdictInvalid.Add(1)
 		s.verdicts.With("invalid").Inc()
@@ -1158,11 +1141,11 @@ func (s *Server) observeCast(d time.Duration, sp *telemetry.Span) {
 	s.castDuration.Observe(d.Seconds())
 }
 
-// annotateCastSpan attaches one cast's work economy to its span, plus the
+// annotateCastSpan attaches one cast's verdict to its span, plus the
 // decision-trace events when the request asked for ?explain=1. An invalid
 // document is a verdict, not a span error — the tail sampler should not
 // retain every rejection, only requests the daemon itself failed.
-func annotateCastSpan(sp *telemetry.Span, st revalidate.StreamStats, trace []revalidate.TraceEvent, err error) {
+func annotateCastSpan(sp *telemetry.Span, trace []revalidate.TraceEvent, err error) {
 	if sp == nil {
 		return
 	}
@@ -1171,13 +1154,6 @@ func annotateCastSpan(sp *telemetry.Span, st revalidate.StreamStats, trace []rev
 		verdict = "invalid"
 	}
 	sp.SetAttr("verdict", verdict)
-	sp.SetAttr("elements.visited", st.ElementsVisited)
-	sp.SetAttr("elements.skimmed", st.ElementsSkimmed)
-	sp.SetAttr("subtrees.skipped", st.SubsumedSkips)
-	sp.SetAttr("subtrees.rejected", st.DisjointRejects)
-	sp.SetAttr("symbols.scanned", st.AutomatonSteps)
-	sp.SetAttr("symbols.skipped", st.SymbolsSkipped)
-	sp.SetAttr("work.saved_ratio", st.WorkSavedRatio())
 	for _, ev := range trace {
 		sp.AddEvent(ev.Action,
 			telemetry.Attr{Key: "path", Value: ev.Path},
@@ -1194,8 +1170,8 @@ type batchResponse struct {
 	Invalid int `json:"invalid"`
 	// Verdicts holds one entry per document: null when valid, the
 	// rejection reason otherwise.
-	Verdicts []*string       `json:"verdicts"`
-	Stats    streamStatsBody `json:"stats"`
+	Verdicts []*string `json:"verdicts"`
+	Stats    statsBody `json:"stats"`
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -1251,18 +1227,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for j, i := range keep {
 		errs[i] = kept[j]
 	}
-	sp.SetAttr("elements.visited", st.ElementsVisited)
-	sp.SetAttr("elements.skimmed", st.ElementsSkimmed)
+	resp := &batchResponse{Count: len(docs), Verdicts: make([]*string, len(docs)), Stats: statsBody{Counters: st}}
+	s.recordStats(sp, &resp.Stats)
 	sp.End()
 	if ctx.Err() != nil {
 		// The deadline or client cut the batch short: unclaimed slots carry
 		// the context's cause, so per-document verdicts would conflate
 		// "invalid" with "never looked at". Fail the whole request instead.
-		s.recordStats(st)
 		writeError(w, http.StatusRequestTimeout, "batch aborted: %v", context.Cause(ctx))
 		return
 	}
-	resp := batchResponse{Count: len(docs), Verdicts: make([]*string, len(docs)), Stats: s.recordStats(st)}
 	for i, err := range errs {
 		if err != nil {
 			var pe *revalidate.PanicError
@@ -1344,13 +1318,22 @@ type metricsBody struct {
 		Valid   int64 `json:"valid"`
 		Invalid int64 `json:"invalid"`
 	} `json:"verdicts"`
-	Stream streamStatsBody `json:"stream"`
-	Cache  registry.Stats  `json:"cache"`
+	Stream streamTotals   `json:"stream"`
+	Cache  registry.Stats `json:"cache"`
 	// Families is the full registry snapshot — every family the text
 	// exposition renders, including the scrape-time callback families
 	// (hot-pair attribution, registry bridges) that the legacy fields
 	// above never covered. /debug/fleet merges peers from this field.
 	Families []telemetry.FamilySnapshot `json:"families"`
+}
+
+// streamTotals is /metrics.json's stream object: the table counters read
+// back from their families, so the JSON and /metrics cannot disagree. No
+// family keeps a cumulative MaxDepth, so the key is left out: the
+// shallower, always-zero omitempty field hides the embedded one.
+type streamTotals struct {
+	statsBody
+	MaxDepth int64 `json:"maxDepth,omitempty"`
 }
 
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
@@ -1361,12 +1344,11 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
 	m.Requests.Pairs = s.reqPairs.Load()
 	m.Verdicts.Valid = s.verdictValid.Load()
 	m.Verdicts.Invalid = s.verdictInvalid.Load()
-	m.Stream = streamStatsBody{
-		ElementsVisited: s.elementsVisited.Load(),
-		ElementsSkimmed: s.elementsSkimmed.Load(),
-		AutomatonSteps:  s.automatonSteps.Load(),
-		ValuesChecked:   s.valuesChecked.Load(),
+	var st work.Counters
+	for i, row := range workRows {
+		*row.field(&st) = s.workFamilies[i].Value()
 	}
+	m.Stream.statsBody = statsBody{st, st.WorkSavedRatio()}
 	m.Cache = s.reg.Stats()
 	m.Families = s.met.Gather()
 	writeJSON(w, http.StatusOK, m)

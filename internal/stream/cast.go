@@ -11,6 +11,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/subsume"
 	"repro/internal/telemetry"
+	"repro/internal/work"
 )
 
 // Caster performs streaming schema cast validation: the incoming document
@@ -104,7 +105,7 @@ func (tc *traceCtx) locate(label string, idx int) (path, dewey string) {
 
 // Validate reads one XML document — assumed valid under the source schema —
 // from r and decides validity under the target schema.
-func (c *Caster) Validate(r io.Reader) (Stats, error) {
+func (c *Caster) Validate(r io.Reader) (work.Counters, error) {
 	return c.validate(context.Background(), r, nil, Limits{})
 }
 
@@ -113,7 +114,7 @@ func (c *Caster) Validate(r io.Reader) (Stats, error) {
 // the hot path stays lock-free and a canceled cast stops within one check
 // interval), and a document exceeding lim's depth or element bounds is
 // rejected with a *LimitError. The zero Limits is unlimited.
-func (c *Caster) ValidateContext(ctx context.Context, r io.Reader, lim Limits) (Stats, error) {
+func (c *Caster) ValidateContext(ctx context.Context, r io.Reader, lim Limits) (work.Counters, error) {
 	return c.validate(ctx, r, nil, lim)
 }
 
@@ -121,13 +122,13 @@ func (c *Caster) ValidateContext(ctx context.Context, r io.Reader, lim Limits) (
 // decision is recorded into tr with the element's path, Dewey number and
 // (τ, τ') pair. Trace mode allocates path-tracking state the hot path never
 // touches.
-func (c *Caster) ValidateTrace(r io.Reader, tr *telemetry.Trace) (Stats, error) {
+func (c *Caster) ValidateTrace(r io.Reader, tr *telemetry.Trace) (work.Counters, error) {
 	return c.validate(context.Background(), r, tr, Limits{})
 }
 
 // ValidateTraceContext is ValidateTrace with the cancellation and limit
 // behavior of ValidateContext.
-func (c *Caster) ValidateTraceContext(ctx context.Context, r io.Reader, tr *telemetry.Trace, lim Limits) (Stats, error) {
+func (c *Caster) ValidateTraceContext(ctx context.Context, r io.Reader, tr *telemetry.Trace, lim Limits) (work.Counters, error) {
 	return c.validate(ctx, r, tr, lim)
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/schema"
 	"repro/internal/wgen"
+	"repro/internal/work"
 	"repro/internal/xmlscan"
 	"repro/internal/xmltree"
 )
@@ -174,7 +175,7 @@ func FuzzStreamFullDifferential(f *testing.F) {
 			return
 		}
 		n, depth := treeShape(doc, 0)
-		want := Stats{ElementsVisited: n, AutomatonSteps: n - 1, ValuesChecked: st.ValuesChecked, MaxDepth: depth}
+		want := work.Counters{ElementsVisited: n, AutomatonSteps: n - 1, ValuesChecked: st.ValuesChecked, MaxDepth: depth}
 		if st != want {
 			t.Fatalf("stats %+v, want %+v (values unchecked) on %q", st, want, data)
 		}

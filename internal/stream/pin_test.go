@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/wgen"
+	"repro/internal/work"
 )
 
 // po500 is the 500-item purchase order the streaming benchmarks run on.
@@ -19,8 +20,8 @@ func po500() []byte {
 // that preceded running full validation as a cast with no source schema;
 // the work counters must not move.
 func TestFullValidationStatsPinned(t *testing.T) {
-	seedDoc := Stats{ElementsVisited: 36, AutomatonSteps: 35, ValuesChecked: 27, MaxDepth: 3}
-	want := map[int]Stats{0: seedDoc, 3: seedDoc, 4: seedDoc, 5: seedDoc, 6: seedDoc}
+	seedDoc := work.Counters{ElementsVisited: 36, AutomatonSteps: 35, ValuesChecked: 27, MaxDepth: 3}
+	want := map[int]work.Counters{0: seedDoc, 3: seedDoc, 4: seedDoc, 5: seedDoc, 6: seedDoc}
 	v := NewValidator(wgen.NewPaperSchemas().Target)
 	for i, doc := range seedDocs() {
 		st, err := v.Validate(strings.NewReader(doc))
@@ -37,7 +38,7 @@ func TestFullValidationStatsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := (Stats{ElementsVisited: 2016, AutomatonSteps: 2015, ValuesChecked: 1512, MaxDepth: 3}); st != w {
+	if w := (work.Counters{ElementsVisited: 2016, AutomatonSteps: 2015, ValuesChecked: 1512, MaxDepth: 3}); st != w {
 		t.Fatalf("500-item order: stats %+v, want %+v", st, w)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fa"
 	"repro/internal/schema"
 	"repro/internal/telemetry"
+	"repro/internal/work"
 	"repro/internal/xmlscan"
 )
 
@@ -44,8 +45,8 @@ var wstatePool = sync.Pool{New: func() any { return new(wstate) }}
 // consumed by the scanner's native SkimSubtree instead of walking tokens
 // one by one. With no source schema (full validation) nothing is
 // subsumed or disjoint and no cast contract applies.
-func (c *Caster) validate(ctx context.Context, r io.Reader, tr *telemetry.Trace, lim Limits) (Stats, error) {
-	var st Stats
+func (c *Caster) validate(ctx context.Context, r io.Reader, tr *telemetry.Trace, lim Limits) (work.Counters, error) {
+	var st work.Counters
 	sc := xmlscan.Get(r)
 	defer sc.Release()
 	ws := wstatePool.Get().(*wstate)
@@ -167,7 +168,7 @@ func (c *Caster) validate(ctx context.Context, r io.Reader, tr *telemetry.Trace,
 			if err := lim.checkElements(st.ElementsVisited + st.ElementsSkimmed); err != nil {
 				return st, err
 			}
-			st.noteDepth(len(stack))
+			st.NoteDepth(int64(len(stack)))
 			if !full && c.Rel.Subsumed(τ, τp) {
 				st.SubsumedSkips++
 				if tr != nil {
@@ -198,7 +199,7 @@ func (c *Caster) validate(ctx context.Context, r io.Reader, tr *telemetry.Trace,
 						countdown -= int(res.Elements)
 					}
 					if res.MaxOpen > 0 {
-						st.noteDepth(res.MaxOpen - 1)
+						st.NoteDepth(int64(res.MaxOpen - 1))
 					}
 					if skimErr != nil {
 						switch skimErr {
@@ -322,7 +323,7 @@ func (c *Caster) pushFrame(stack []frame, τ, τp schema.TypeID) []frame {
 	return stack
 }
 
-func closeFrame(f *frame, st *Stats) error {
+func closeFrame(f *frame, st *work.Counters) error {
 	if f.tD.Simple {
 		st.ValuesChecked++
 		if !f.tD.Value.AcceptsValue(string(f.text)) {

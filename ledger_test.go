@@ -19,6 +19,7 @@ import (
 	"repro/internal/stream"
 	"repro/internal/update"
 	"repro/internal/wgen"
+	"repro/internal/work"
 )
 
 // ledgerRow is one (workload, engine) cell. Every counter is exact. allocs
@@ -200,11 +201,11 @@ func ledgerWorkloads(t *testing.T) map[string]func() ledgerRow {
 		for _, e := range exp {
 			doc := wgen.PODocument(wgen.PODocOptions{Items: n, IncludeBillTo: true, MaxQuantity: e.maxQuantity, Seed: 2004})
 			engine := e.engine
-			w[fmt.Sprintf("%s/cast/items=%d", e.name, n)] = func() ledgerRow { return treeRow(engine.Validate(doc)) }
-			w[fmt.Sprintf("%s/full/items=%d", e.name, n)] = func() ledgerRow { return baselineRow(full.Validate(doc)) }
+			w[fmt.Sprintf("%s/cast/items=%d", e.name, n)] = func() ledgerRow { return counterRow(engine.Validate(doc)) }
+			w[fmt.Sprintf("%s/full/items=%d", e.name, n)] = func() ledgerRow { return counterRow(full.Validate(doc)) }
 			if n == 1000 {
 				idx := cast.BuildLabelIndex(doc)
-				w[fmt.Sprintf("%s/dtd-index/items=%d", e.name, n)] = func() ledgerRow { return treeRow(engine.ValidateDTD(doc, idx)) }
+				w[fmt.Sprintf("%s/dtd-index/items=%d", e.name, n)] = func() ledgerRow { return counterRow(engine.ValidateDTD(doc, idx)) }
 			}
 		}
 	}
@@ -223,7 +224,7 @@ func ledgerWorkloads(t *testing.T) map[string]func() ledgerRow {
 			}
 		}
 		trie := tk.Finalize()
-		w[fmt.Sprintf("mods/incremental/edits=%d", edits)] = func() ledgerRow { return treeRow(same.ValidateModified(doc, trie)) }
+		w[fmt.Sprintf("mods/incremental/edits=%d", edits)] = func() ledgerRow { return counterRow(same.ValidateModified(doc, trie)) }
 	}
 	{
 		doc := wgen.PODocument(wgen.PODocOptions{Items: 1000, IncludeBillTo: true, Seed: 7})
@@ -233,7 +234,7 @@ func ledgerWorkloads(t *testing.T) map[string]func() ledgerRow {
 			t.Fatal(err)
 		}
 		trie := tk.Finalize()
-		w["mods/incremental/append-item"] = func() ledgerRow { return treeRow(same.ValidateModified(doc, trie)) }
+		w["mods/incremental/append-item"] = func() ledgerRow { return counterRow(same.ValidateModified(doc, trie)) }
 	}
 
 	// Streaming on the 500-item order: the Exp-1 and Exp-2 casts against
@@ -249,9 +250,9 @@ func ledgerWorkloads(t *testing.T) map[string]func() ledgerRow {
 		t.Fatal(err)
 	}
 	sfull := stream.NewValidator(ps.Target)
-	w["stream/exp1-cast/items=500"] = streamRow(func() (stream.Stats, error) { return exp1.Validate(bytes.NewReader(data)) })
-	w["stream/exp2-cast/items=500"] = streamRow(func() (stream.Stats, error) { return exp2.Validate(bytes.NewReader(data)) })
-	w["stream/full/items=500"] = streamRow(func() (stream.Stats, error) { return sfull.Validate(bytes.NewReader(data)) })
+	w["stream/exp1-cast/items=500"] = streamRow(func() (work.Counters, error) { return exp1.Validate(bytes.NewReader(data)) })
+	w["stream/exp2-cast/items=500"] = streamRow(func() (work.Counters, error) { return exp2.Validate(bytes.NewReader(data)) })
+	w["stream/full/items=500"] = streamRow(func() (work.Counters, error) { return sfull.Validate(bytes.NewReader(data)) })
 
 	// The same order with every productName 40 bytes long. Full validation
 	// converts each value longer than the compiler's 32-byte stack buffer
@@ -262,8 +263,8 @@ func ledgerWorkloads(t *testing.T) map[string]func() ledgerRow {
 		item.Children[0].Children[0].Text = strings.Repeat("productname-", 4)[:40]
 	}
 	longData := wgen.POXMLBytes(long)
-	w["stream/full/long-names/items=500"] = streamRow(func() (stream.Stats, error) { return sfull.Validate(bytes.NewReader(longData)) })
-	w["stream/exp2-cast/long-names/items=500"] = streamRow(func() (stream.Stats, error) { return exp2.Validate(bytes.NewReader(longData)) })
+	w["stream/full/long-names/items=500"] = streamRow(func() (work.Counters, error) { return sfull.Validate(bytes.NewReader(longData)) })
+	w["stream/exp2-cast/long-names/items=500"] = streamRow(func() (work.Counters, error) { return exp2.Validate(bytes.NewReader(longData)) })
 
 	// castload's document shapes through the public StreamCaster: the
 	// msg-small order on the Exp-1 text pair, and the po-facet-500 order on
@@ -280,28 +281,21 @@ func ledgerWorkloads(t *testing.T) map[string]func() ledgerRow {
 	return w
 }
 
-func treeRow(st cast.Stats, err error) ledgerRow {
+// counterRow is the one work.Counters → ledgerRow adapter, for every
+// engine: each fills only its own counters, so the others read 0.
+func counterRow(st work.Counters, err error) ledgerRow {
 	return ledgerRow{
-		elems: st.ElementsVisited, texts: st.TextNodesVisited, steps: st.AutomatonSteps,
-		symSkipped: st.SymbolsSkipped, subsumed: st.SubsumedSkips, reverse: st.ReverseScans,
-		reject: err != nil,
+		elems: st.ElementsVisited, texts: st.TextNodesVisited, skimmed: st.ElementsSkimmed,
+		steps: st.AutomatonSteps, symSkipped: st.SymbolsSkipped, subsumed: st.SubsumedSkips,
+		values: st.ValuesChecked, reverse: st.ReverseScans, reject: err != nil,
 	}
-}
-
-func baselineRow(st baseline.Stats, err error) ledgerRow {
-	return ledgerRow{elems: st.ElementsVisited, texts: st.TextNodesVisited, steps: st.AutomatonSteps, reject: err != nil}
 }
 
 // streamRow measures one streaming validation's counters and, outside
 // -race, its allocs/op.
-func streamRow(validate func() (stream.Stats, error)) func() ledgerRow {
+func streamRow(validate func() (work.Counters, error)) func() ledgerRow {
 	return func() ledgerRow {
-		st, err := validate()
-		r := ledgerRow{
-			elems: st.ElementsVisited, skimmed: st.ElementsSkimmed, steps: st.AutomatonSteps,
-			symSkipped: st.SymbolsSkipped, subsumed: st.SubsumedSkips, values: st.ValuesChecked,
-			reject: err != nil,
-		}
+		r := counterRow(validate())
 		if !raceEnabled {
 			r.allocs = int64(testing.AllocsPerRun(20, func() { validate() }))
 		}
@@ -328,11 +322,6 @@ func publicStreamCaster(t *testing.T, srcXSD, dstXSD string) *revalidate.StreamC
 }
 
 // publicValidate adapts the public StreamCaster to streamRow.
-// revalidate.StreamStats and stream.Stats have the same fields, so one
-// converts to the other.
-func publicValidate(c *revalidate.StreamCaster, data []byte) func() (stream.Stats, error) {
-	return func() (stream.Stats, error) {
-		st, err := c.Validate(bytes.NewReader(data))
-		return stream.Stats(st), err
-	}
+func publicValidate(c *revalidate.StreamCaster, data []byte) func() (work.Counters, error) {
+	return func() (work.Counters, error) { return c.Validate(bytes.NewReader(data)) }
 }

@@ -1,6 +1,7 @@
 package revalidate
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -22,101 +23,59 @@ func batchWorkers(n, workers int) int {
 	return workers
 }
 
-// runWorkers runs body on a pool of workers. Each body draws item indexes
-// in [0, n) from one shared atomic counter until the batch is drained, so
-// uneven per-item cost balances across the pool without any queue or lock.
-// With one worker, body runs on the calling goroutine; an empty batch runs
-// nothing at all.
-func runWorkers(n, workers int, body func(claim func() (int, bool))) {
+// validateAll runs validate(i) for every slot i in [0, n) on a pool of
+// workers and returns one verdict per slot plus the batch's work totals.
+// Workers draw slots from one shared atomic counter until the batch is
+// drained, so uneven per-document cost balances across the pool without a
+// queue. Each slot runs under a panic guard (a panic becomes a *PanicError
+// verdict for that slot only); once ctx is done, every unclaimed slot gets
+// the context's cause instead. Each worker sums its slots' Stats locally
+// and merges them into the total with Add under one mutex, taken once per
+// worker per batch. With one worker everything runs on the calling
+// goroutine.
+func validateAll(ctx context.Context, n, workers int, validate func(i int) (Stats, error)) ([]error, Stats) {
 	if n == 0 {
-		return
+		return nil, Stats{}
+	}
+	errs := make([]error, n)
+	done := ctx.Done()
+	var (
+		next  atomic.Int64
+		mu    sync.Mutex
+		total Stats
+	)
+	body := func() {
+		var local Stats
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				break
+			}
+			if done != nil && ctx.Err() != nil {
+				errs[i] = context.Cause(ctx)
+				continue
+			}
+			st, err := guardValidate(func() (Stats, error) { return validate(i) })
+			errs[i] = err
+			local.Add(st)
+		}
+		mu.Lock()
+		total.Add(local)
+		mu.Unlock()
 	}
 	workers = batchWorkers(n, workers)
-	var next atomic.Int64
-	claim := func() (int, bool) {
-		i := int(next.Add(1)) - 1
-		return i, i < n
-	}
 	if workers == 1 {
-		body(claim)
-		return
+		body()
+		return errs, total
 	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			body(claim)
+			body()
 		}()
 	}
 	wg.Wait()
-}
-
-// Add accumulates d into s (single-goroutine use); callers serving many
-// validations merge per-request stats into cumulative totals with it.
-// MaxDepth merges with max, not sum.
-func (s *Stats) Add(d Stats) {
-	s.ElementsVisited += d.ElementsVisited
-	s.TextNodesVisited += d.TextNodesVisited
-	s.AutomatonSteps += d.AutomatonSteps
-	s.SymbolsSkipped += d.SymbolsSkipped
-	s.SubsumedSkips += d.SubsumedSkips
-	s.DisjointRejects += d.DisjointRejects
-	s.FullValidations += d.FullValidations
-	s.ReverseScans += d.ReverseScans
-	if d.MaxDepth > s.MaxDepth {
-		s.MaxDepth = d.MaxDepth
-	}
-}
-
-// atomicAdd merges d into s with atomic adds; workers call it once with
-// their local totals, so a batch's statistics need no mutex.
-func (s *Stats) atomicAdd(d Stats) {
-	atomic.AddInt64(&s.ElementsVisited, d.ElementsVisited)
-	atomic.AddInt64(&s.TextNodesVisited, d.TextNodesVisited)
-	atomic.AddInt64(&s.AutomatonSteps, d.AutomatonSteps)
-	atomic.AddInt64(&s.SymbolsSkipped, d.SymbolsSkipped)
-	atomic.AddInt64(&s.SubsumedSkips, d.SubsumedSkips)
-	atomic.AddInt64(&s.DisjointRejects, d.DisjointRejects)
-	atomic.AddInt64(&s.FullValidations, d.FullValidations)
-	atomic.AddInt64(&s.ReverseScans, d.ReverseScans)
-	atomicMax(&s.MaxDepth, d.MaxDepth)
-}
-
-// atomicMax raises *addr to v via CAS (no-op when v is not larger).
-func atomicMax(addr *int64, v int64) {
-	for {
-		cur := atomic.LoadInt64(addr)
-		if v <= cur || atomic.CompareAndSwapInt64(addr, cur, v) {
-			return
-		}
-	}
-}
-
-// Add accumulates d into s (single-goroutine use); callers serving many
-// validations merge per-request stats into cumulative totals with it.
-// MaxDepth merges with max, not sum.
-func (s *StreamStats) Add(d StreamStats) {
-	s.ElementsVisited += d.ElementsVisited
-	s.ElementsSkimmed += d.ElementsSkimmed
-	s.AutomatonSteps += d.AutomatonSteps
-	s.SymbolsSkipped += d.SymbolsSkipped
-	s.SubsumedSkips += d.SubsumedSkips
-	s.DisjointRejects += d.DisjointRejects
-	s.ValuesChecked += d.ValuesChecked
-	if d.MaxDepth > s.MaxDepth {
-		s.MaxDepth = d.MaxDepth
-	}
-}
-
-// atomicAdd merges d into s with atomic adds.
-func (s *StreamStats) atomicAdd(d StreamStats) {
-	atomic.AddInt64(&s.ElementsVisited, d.ElementsVisited)
-	atomic.AddInt64(&s.ElementsSkimmed, d.ElementsSkimmed)
-	atomic.AddInt64(&s.AutomatonSteps, d.AutomatonSteps)
-	atomic.AddInt64(&s.SymbolsSkipped, d.SymbolsSkipped)
-	atomic.AddInt64(&s.SubsumedSkips, d.SubsumedSkips)
-	atomic.AddInt64(&s.DisjointRejects, d.DisjointRejects)
-	atomic.AddInt64(&s.ValuesChecked, d.ValuesChecked)
-	atomicMax(&s.MaxDepth, d.MaxDepth)
+	return errs, total
 }

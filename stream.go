@@ -8,66 +8,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// StreamStats counts the work of a streaming validation. Field names are
-// shared with Stats and the internal engines so a counter means the same
-// thing wherever it appears.
-type StreamStats struct {
-	// ElementsVisited counts elements that received validation work.
-	ElementsVisited int64
-	// ElementsSkimmed counts elements consumed inside subsumed subtrees
-	// with no validation work at all (streaming cast only).
-	ElementsSkimmed int64
-	// AutomatonSteps counts content-model transitions taken — the number of
-	// child-label symbols scanned.
-	AutomatonSteps int64
-	// SymbolsSkipped counts child labels that arrived after an immediate
-	// decision automaton had already settled the content-model verdict.
-	SymbolsSkipped int64
-	// SubsumedSkips counts subtrees skimmed because the source type is
-	// subsumed by the target type.
-	SubsumedSkips int64
-	// DisjointRejects counts rejections caused by disjoint type pairs.
-	DisjointRejects int64
-	// ValuesChecked counts simple values tested against facets.
-	ValuesChecked int64
-	// MaxDepth is the deepest element depth reached (root = 0). Batch
-	// totals merge it with max, not sum.
-	MaxDepth int64
-}
-
-// WorkSavedRatio is the fraction of elements the caster skimmed instead of
-// validating: skimmed/(visited+skimmed). 0 when nothing flowed.
-func (s StreamStats) WorkSavedRatio() float64 {
-	total := s.ElementsVisited + s.ElementsSkimmed
-	if total == 0 {
-		return 0
-	}
-	return float64(s.ElementsSkimmed) / float64(total)
-}
-
-// SymbolsScannedRatio is the fraction of content-model symbols actually
-// scanned out of all symbols seen: steps/(steps+skipped). 1 when no
-// immediate decision fired.
-func (s StreamStats) SymbolsScannedRatio() float64 {
-	total := s.AutomatonSteps + s.SymbolsSkipped
-	if total == 0 {
-		return 1
-	}
-	return float64(s.AutomatonSteps) / float64(total)
-}
-
-func fromStreamStats(s stream.Stats) StreamStats {
-	return StreamStats{
-		ElementsVisited: s.ElementsVisited,
-		ElementsSkimmed: s.ElementsSkimmed,
-		AutomatonSteps:  s.AutomatonSteps,
-		SymbolsSkipped:  s.SymbolsSkipped,
-		SubsumedSkips:   s.SubsumedSkips,
-		DisjointRejects: s.DisjointRejects,
-		ValuesChecked:   s.ValuesChecked,
-		MaxDepth:        s.MaxDepth,
-	}
-}
+// StreamStats counts the work of a streaming validation. It is Stats, the
+// one work record: a stream fills ElementsSkimmed and ValuesChecked where
+// a tree cast fills TextNodesVisited, and WorkSavedRatio is defined over
+// the elements a stream sees go by.
+type StreamStats = Stats
 
 // ValidateStream fully validates one XML document read from r, without
 // building a document tree: memory is proportional to element depth. For
@@ -84,8 +29,7 @@ func (s *Schema) ValidateStream(r io.Reader) (StreamStats, error) {
 // the cast path does, so governed entry points matter at least as much
 // here.
 func (s *Schema) ValidateStreamContext(ctx context.Context, r io.Reader, lim Limits) (StreamStats, error) {
-	st, err := stream.NewValidator(s.s).ValidateContext(ctx, r, lim)
-	return fromStreamStats(st), err
+	return stream.NewValidator(s.s).ValidateContext(ctx, r, lim)
 }
 
 // StreamCaster performs schema cast validation over a token stream: the
@@ -117,8 +61,7 @@ func NewStreamCaster(src, dst *Schema) (*StreamCaster, error) {
 // Validate reads one XML document from r — assumed valid under the source
 // schema — and decides validity under the target schema.
 func (c *StreamCaster) Validate(r io.Reader) (StreamStats, error) {
-	st, err := c.c.Validate(r)
-	return fromStreamStats(st), err
+	return c.c.Validate(r)
 }
 
 // ValidateContext is Validate with cooperative cancellation and resource
@@ -129,8 +72,7 @@ func (c *StreamCaster) Validate(r io.Reader) (StreamStats, error) {
 // This is the entry point a daemon should use: it bounds what one hostile
 // document or one slow client can cost.
 func (c *StreamCaster) ValidateContext(ctx context.Context, r io.Reader, lim Limits) (StreamStats, error) {
-	st, err := c.c.ValidateContext(ctx, r, lim)
-	return fromStreamStats(st), err
+	return c.c.ValidateContext(ctx, r, lim)
 }
 
 // ValidateTraced is Validate in trace mode: alongside the verdict and
@@ -140,7 +82,7 @@ func (c *StreamCaster) ValidateContext(ctx context.Context, r io.Reader, lim Lim
 func (c *StreamCaster) ValidateTraced(r io.Reader) (StreamStats, []TraceEvent, error) {
 	tr := &telemetry.Trace{}
 	st, err := c.c.ValidateTrace(r, tr)
-	return fromStreamStats(st), fromTraceEvents(tr), err
+	return st, fromTraceEvents(tr), err
 }
 
 // ValidateTracedContext is ValidateTraced with the cancellation and limit
@@ -148,7 +90,7 @@ func (c *StreamCaster) ValidateTraced(r io.Reader) (StreamStats, []TraceEvent, e
 func (c *StreamCaster) ValidateTracedContext(ctx context.Context, r io.Reader, lim Limits) (StreamStats, []TraceEvent, error) {
 	tr := &telemetry.Trace{}
 	st, err := c.c.ValidateTraceContext(ctx, r, tr, lim)
-	return fromStreamStats(st), fromTraceEvents(tr), err
+	return st, fromTraceEvents(tr), err
 }
 
 // ValidateAll validates one document per reader concurrently on a pool of
@@ -156,7 +98,7 @@ func (c *StreamCaster) ValidateTracedContext(ctx context.Context, r io.Reader, l
 // preprocessed schema pair. workers <= 0 uses one worker per logical CPU.
 // The returned slice holds one verdict per reader (nil when valid), and
 // the StreamStats are the batch totals, merged from per-worker counters
-// with atomic adds. Each reader is consumed by exactly one worker, and a
+// with Add. Each reader is consumed by exactly one worker, and a
 // reader that fails mid-stream fails only its own slot (with the reader's
 // error wrapped), never its siblings.
 func (c *StreamCaster) ValidateAll(rs []io.Reader, workers int) ([]error, StreamStats) {
@@ -170,30 +112,7 @@ func (c *StreamCaster) ValidateAll(rs []io.Reader, workers int) ([]error, Stream
 // crashes the pool), and a canceled batch marks every unclaimed slot with
 // the context's cause instead of consuming its reader.
 func (c *StreamCaster) ValidateAllContext(ctx context.Context, rs []io.Reader, workers int, lim Limits) ([]error, StreamStats) {
-	if len(rs) == 0 {
-		return nil, StreamStats{}
-	}
-	errs := make([]error, len(rs))
-	done := ctx.Done()
-	var total StreamStats
-	runWorkers(len(rs), workers, func(claim func() (int, bool)) {
-		var local StreamStats
-		for {
-			i, ok := claim()
-			if !ok {
-				break
-			}
-			if done != nil && ctx.Err() != nil {
-				errs[i] = context.Cause(ctx)
-				continue
-			}
-			st, err := guardValidate(func() (stream.Stats, error) {
-				return c.c.ValidateContext(ctx, rs[i], lim)
-			})
-			errs[i] = err
-			local.Add(fromStreamStats(st))
-		}
-		total.atomicAdd(local)
+	return validateAll(ctx, len(rs), workers, func(i int) (Stats, error) {
+		return c.c.ValidateContext(ctx, rs[i], lim)
 	})
-	return errs, total
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -240,11 +241,11 @@ func TestCastdSmoke(t *testing.T) {
 	if code, body := httpDo("GET", base+"/pairs/v1/v2", ""); code != 200 || !strings.Contains(body, `"alwaysValid":false`) {
 		t.Fatalf("pairs: %d %s", code, body)
 	}
-	if code, body := httpDo("GET", base+"/metrics", ""); code != 200 ||
-		!strings.Contains(body, "registry_compiles_total 1") ||
-		!strings.Contains(body, "cast_subtrees_skipped_total") {
-		t.Fatalf("metrics: %d %s", code, body)
+	code, metrics := httpDo("GET", base+"/metrics", "")
+	if code != 200 {
+		t.Fatalf("metrics: %d %s", code, metrics)
 	}
+	checkSmokeMetrics(t, metrics)
 	if code, body := httpDo("GET", base+"/metrics.json", ""); code != 200 || !strings.Contains(body, `"compiles":1`) {
 		t.Fatalf("metrics.json: %d %s", code, body)
 	}
@@ -262,6 +263,96 @@ func TestCastdSmoke(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("castd did not exit after SIGTERM")
+	}
+}
+
+// smokeFamilies are the families a standalone castd exposes after one
+// compiled pair and two casts: the work-saved families the paper's economy
+// argument rests on, the serving, tracing, artifact, peer, resilience,
+// OTLP, runtime, profiling and hot-pair families. Each must have a sample.
+var smokeFamilies = []string{
+	"cast_subtrees_skipped_total", "cast_symbols_scanned_total", "cast_elements_skimmed_total",
+	"cast_verdicts_total", "registry_compile_seconds_bucket", "registry_compiles_total",
+	"http_request_duration_seconds_bucket", "http_requests_total", "http_in_flight_requests",
+	"castd_uptime_seconds", "castd_traces_started_total", "castd_traces_retained_total",
+	"artifact_store_hits_total", "artifact_store_misses_total", "artifact_store_writes_total",
+	"artifact_store_corrupt_total", "castd_peer_forwards_total", "castd_peer_fetch_total",
+	"castd_peer_errors_total", "castd_peer_retries_total", "castd_peer_retry_budget_exhausted_total",
+	"castd_peer_hedges_total", "castd_peer_hedge_wins_total", "castd_artifact_store_degraded",
+	"castd_otlp_exported_total", "castd_otlp_dropped_total", "castd_otlp_retries_total",
+	"castd_otlp_queue_depth", "go_goroutines", "go_threads", "go_gc_pause_seconds_bucket",
+	"go_sched_latencies_seconds_bucket", "go_memstats_heap_alloc_bytes", "go_memstats_heap_objects",
+	"go_memstats_stack_inuse_bytes", "go_gc_cycles_total", "castd_runtime_samples_total",
+	"castd_profiles_captured_total", "castd_profiles_dropped_total", "cast_pair_seconds_total",
+	"cast_pair_casts_total", "cast_pair_work_saved_ratio", "cast_pair_tracked",
+}
+
+// sampleLine is a well-formed exposition sample: name{labels} value, with
+// a numeric, +Inf or NaN value.
+var sampleLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?([0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?|\+Inf|NaN)$`)
+
+// checkSmokeMetrics asserts what a standalone castd's /metrics must show
+// after TestCastdSmoke's traffic: one compiled pair, one valid and one
+// invalid cast.
+func checkSmokeMetrics(t *testing.T, text string) {
+	t.Helper()
+	lines := strings.Split(text, "\n")
+	has := func(pred func(string) bool) bool {
+		for _, l := range lines {
+			if pred(l) {
+				return true
+			}
+		}
+		return false
+	}
+	prefix := func(p string) bool { return has(func(l string) bool { return strings.HasPrefix(l, p) }) }
+	line := func(want string) bool { return has(func(l string) bool { return l == want }) }
+	for _, f := range smokeFamilies {
+		if !prefix(f) {
+			t.Errorf("missing family %s", f)
+		}
+	}
+	// The runtime collector sampled at least once (at construction).
+	if !has(regexp.MustCompile(`^castd_runtime_samples_total [1-9]`).MatchString) {
+		t.Error("castd_runtime_samples_total never sampled")
+	}
+	// Hot-pair attribution is bounded: the overflow row always exists, and
+	// the one compiled pair is tracked individually. One compile so far,
+	// counted in the histogram too.
+	for _, want := range []string{
+		`cast_pair_casts_total{pair="other"} 0`, "cast_pair_tracked 1",
+		"registry_compiles_total 1", "registry_compile_seconds_count 1",
+	} {
+		if !line(want) {
+			t.Errorf("missing sample line %q", want)
+		}
+	}
+	// A standalone daemon renders castd_peer_up with no series (the peer
+	// list is empty); the labeled resilience families likewise.
+	for _, f := range []string{"castd_peer_up", "castd_degraded_total", "castd_breaker_state", "castd_breaker_transitions_total"} {
+		if !prefix("# HELP " + f + " ") {
+			t.Errorf("missing HELP line of %s", f)
+		}
+	}
+	if prefix("castd_peer_up{") {
+		t.Error("standalone daemon has castd_peer_up series")
+	}
+	// Build identity: a labeled castd_build_info sample naming the Go
+	// version.
+	if !has(func(l string) bool {
+		return strings.HasPrefix(l, "castd_build_info{") && strings.Contains(l, "go_version=")
+	}) {
+		t.Error("no castd_build_info sample with go_version")
+	}
+	for _, v := range []string{"valid", "invalid"} {
+		if !prefix(`cast_verdicts_total{verdict="` + v + `"} `) {
+			t.Errorf("missing cast_verdicts_total{verdict=%q}", v)
+		}
+	}
+	for _, l := range lines {
+		if l != "" && !strings.HasPrefix(l, "#") && !sampleLine.MatchString(l) {
+			t.Errorf("malformed sample line %q", l)
+		}
 	}
 }
 
