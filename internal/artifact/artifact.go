@@ -83,7 +83,4 @@ type Decoded struct {
 	Caster               *revalidate.Caster
 	Stream               *revalidate.StreamCaster
 	Report               revalidate.PairReport
-	// Size is the encoded blob length in bytes — the real cache footprint
-	// the registry charges against its byte budget.
-	Size int
 }

@@ -481,10 +481,10 @@ func DecodeModels(blob []byte, models *schema.ModelTable) (*Decoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.restore(len(blob), models)
+	return a.restore(models)
 }
 
-func (a *rawArtifact) restore(size int, models *schema.ModelTable) (*Decoded, error) {
+func (a *rawArtifact) restore(models *schema.ModelTable) (*Decoded, error) {
 	// Re-parse both texts, source first — the same order the registry
 	// compiles in, so alphabet interning and TypeIDs reproduce exactly.
 	u := revalidate.NewUniverseModels(models)
@@ -551,7 +551,6 @@ func (a *rawArtifact) restore(size int, models *schema.ModelTable) (*Decoded, er
 		SrcSchema: srcS, DstSchema: dstS,
 		Caster: c, Stream: sc,
 		Report: report,
-		Size:   size,
 	}, nil
 }
 

@@ -66,9 +66,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if dec.Size != len(blob) {
-		t.Fatalf("decoded size %d, blob is %d bytes", dec.Size, len(blob))
-	}
 	if dec.Src != src || dec.Dst != dst {
 		t.Fatal("schema infos not preserved")
 	}

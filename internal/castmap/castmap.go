@@ -13,7 +13,7 @@
 // when it loses a race. Duplicate caster construction under contention is
 // possible but harmless — casters are pure functions of the two DFAs — and
 // exactly one instance per pair wins publication, so the per-pair lazy
-// reverse-automaton state (strcast.Caster.revOnce) is shared too.
+// automata (strcast.Caster's full-product and reverse IDAs) are shared too.
 package castmap
 
 import (

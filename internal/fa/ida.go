@@ -11,7 +11,8 @@ type IDA struct {
 	IR []bool // immediate-reject states
 
 	// Product bookkeeping, set when the IDA was derived from a product
-	// automaton (DeriveCastIDA); nil for single-automaton IDAs.
+	// automaton (DeriveCastIDA, DeriveReachableCastIDA); nil for
+	// single-automaton IDAs.
 	Pairs *Product
 }
 
@@ -91,8 +92,24 @@ func DeriveIDA(d *DFA) *IDA {
 //
 // The product covers the full pair space Q_a × Q_b so the automaton can be
 // entered at an arbitrary pair, as the with-modifications scan requires.
+// A scan that always starts at the start pair needs only
+// DeriveReachableCastIDA.
 func DeriveCastIDA(a, b *DFA) *IDA {
-	p := IntersectAll(a, b)
+	return castIDA(IntersectAll(a, b))
+}
+
+// DeriveReachableCastIDA builds c_immed over the pairs reachable from
+// (start_a, start_b) only. IA and IR are properties of a state's forward
+// closure, and the reachable set is closed under transitions, so every
+// state it keeps has the IA/IR/accept status it has in DeriveCastIDA's
+// full product: a scan from the start takes the same decisions in both.
+// Its size is linear in the reachable pairs rather than |Q_a|·|Q_b|.
+func DeriveReachableCastIDA(a, b *DFA) *IDA {
+	return castIDA(Intersect(a, b))
+}
+
+func castIDA(p *Product) *IDA {
+	a, b := p.A, p.B
 	n := p.DFA.NumStates()
 	ida := &IDA{D: p.DFA, IA: make([]bool, n), IR: make([]bool, n), Pairs: p}
 

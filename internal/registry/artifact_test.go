@@ -56,7 +56,7 @@ func TestArtifactWarmLookup(t *testing.T) {
 		t.Fatalf("warm store stats %+v, want one hit", st)
 	}
 	if p2.Cost != p1.Cost {
-		t.Fatalf("warm cost %d != cold cost %d (both should be the blob size)", p2.Cost, p1.Cost)
+		t.Fatalf("warm cost %d != cold cost %d (both are the pairCost estimate)", p2.Cost, p1.Cost)
 	}
 	if _, err := p2.Stream.Validate(strings.NewReader(poXML(true))); err != nil {
 		t.Fatalf("warm pair rejected valid doc: %v", err)
@@ -131,8 +131,8 @@ func TestInstallArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("owner blob: %v", err)
 	}
-	if int64(len(blob)) != p.Cost {
-		t.Fatalf("blob is %d bytes, pair cost is %d — cost must be the serialized size", len(blob), p.Cost)
+	if want := pairCost(p.Src, p.Dst, p.Report); p.Cost != want {
+		t.Fatalf("compiled pair cost is %d, want the pairCost estimate %d", p.Cost, want)
 	}
 
 	// The non-owner has the schemas registered but no pair and no store.
@@ -160,6 +160,9 @@ func TestInstallArtifact(t *testing.T) {
 	}
 	if cp, ok := other.CachedPair(src, dst); !ok || cp != ip {
 		t.Fatal("installed pair not served from cache")
+	}
+	if ip.Cost != p.Cost {
+		t.Fatalf("installed pair cost %d != compiled pair cost %d", ip.Cost, p.Cost)
 	}
 	// A storeless registry can still export the pair for its own peers.
 	if blob2, err := other.ArtifactBlob(key); err != nil {

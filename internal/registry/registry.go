@@ -96,17 +96,21 @@ type Pair struct {
 	Stream               *revalidate.StreamCaster
 	Report               revalidate.PairReport
 	CompileTime          time.Duration
-	// Cost is the cache footprint charged against the byte budget: the
-	// pair's serialized artifact size (schema texts, relation matrices,
-	// product IDAs). Only if encoding fails does it fall back to the old
-	// costPerIDAState estimate.
+	// Cost is the cache footprint charged against the byte budget,
+	// estimated by pairCost from the schema texts and the c_immed states.
+	// A compiled, restored or installed pair is charged the same.
 	Cost int64
 }
 
 // costPerIDAState approximates the memory of one product-IDA state (dense
-// transition row plus flag bits); used only as the Cost fallback when a
-// pair cannot be serialized.
+// transition row plus flag bits).
 const costPerIDAState = 64
+
+// pairCost estimates a pair's cache footprint: both schema texts plus
+// costPerIDAState per c_immed state of its casters.
+func pairCost(src, dst *SchemaEntry, report revalidate.PairReport) int64 {
+	return int64(src.Bytes+dst.Bytes) + int64(report.IDAStates)*costPerIDAState
+}
 
 // UnknownSchemaError reports a lookup of an unregistered schema id.
 type UnknownSchemaError struct{ ID string }
@@ -439,8 +443,7 @@ func (r *Registry) PairCtx(ctx context.Context, srcID, dstID string) (*Pair, Loo
 	} else {
 		r.compiles.Add(1)
 		start = time.Now()
-		var blob []byte
-		pair, blob, err = r.compilePairRecovered(ctx, src, dst)
+		pair, err = r.compilePairRecovered(ctx, src, dst)
 		d := time.Since(start)
 		r.compileNS.Add(int64(d))
 		if obs := r.compileObserver.Load(); obs != nil {
@@ -449,8 +452,12 @@ func (r *Registry) PairCtx(ctx context.Context, srcID, dstID string) (*Pair, Loo
 		if pair != nil {
 			pair.CompileTime = d
 		}
-		if err == nil && blob != nil && r.store != nil {
-			if perr := r.store.Put(e.artifactKey, blob); perr != nil && !errors.Is(perr, artifact.ErrDegraded) && r.logger != nil {
+		if err == nil && r.store != nil {
+			blob, perr := pair.encode()
+			if perr == nil {
+				perr = r.store.Put(e.artifactKey, blob)
+			}
+			if perr != nil && !errors.Is(perr, artifact.ErrDegraded) && r.logger != nil {
 				r.logger.LogAttrs(ctx, slog.LevelWarn, "registry: artifact write-through failed",
 					slog.String("src", src.ID),
 					slog.String("dst", dst.ID),
@@ -507,7 +514,7 @@ func (r *Registry) logEvictions(ctx context.Context, victims []*pairEntry) {
 // key until process restart. Recovering here turns the panic into an
 // ordinary compile error, which the caller's existing failed-compile path
 // already evicts — so waiters get the error and the next lookup retries.
-func (r *Registry) compilePairRecovered(ctx context.Context, src, dst *SchemaEntry) (pair *Pair, blob []byte, err error) {
+func (r *Registry) compilePairRecovered(ctx context.Context, src, dst *SchemaEntry) (pair *Pair, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			perr := &CompilePanicError{Src: src.ID, Dst: dst.ID, Value: rec, Stack: debug.Stack()}
@@ -519,11 +526,11 @@ func (r *Registry) compilePairRecovered(ctx context.Context, src, dst *SchemaEnt
 					slog.Any("panic", rec),
 					slog.String("stack", string(perr.Stack)))
 			}
-			pair, blob, err = nil, nil, perr
+			pair, err = nil, perr
 		}
 	}()
 	if err := faultinject.Compile(); err != nil {
-		return nil, nil, fmt.Errorf("registry: pair (%q, %q): %w", src.ID, dst.ID, err)
+		return nil, fmt.Errorf("registry: pair (%q, %q): %w", src.ID, dst.ID, err)
 	}
 	return compilePair(src, dst, r.models)
 }
@@ -533,39 +540,35 @@ func (r *Registry) compilePairRecovered(ctx context.Context, src, dst *SchemaEnt
 // Loading reuses the content models in models — the texts were registered,
 // so their models are normally all there — and what remains is parsing,
 // relabelling each model onto the pair's alphabet, and the pair's own
-// R_sub/R_nondis fixpoints and IDAs. The returned blob is the pair's
-// serialized artifact, ready for the store write-through; encoding it is
-// cheap next to the fixpoints just computed, and its length is the pair's
-// real cache footprint.
-func compilePair(src, dst *SchemaEntry, models *schema.ModelTable) (*Pair, []byte, error) {
+// R_sub/R_nondis fixpoints and IDAs. The pair is not serialized here: the
+// artifact is encoded only when a store writes it or a peer asks for it.
+func compilePair(src, dst *SchemaEntry, models *schema.ModelTable) (*Pair, error) {
 	u := revalidate.NewUniverseModels(models)
 	ss, err := src.load(u)
 	if err != nil {
-		return nil, nil, fmt.Errorf("registry: source %q: %w", src.ID, err)
+		return nil, fmt.Errorf("registry: source %q: %w", src.ID, err)
 	}
 	ds, err := dst.load(u)
 	if err != nil {
-		return nil, nil, fmt.Errorf("registry: target %q: %w", dst.ID, err)
+		return nil, fmt.Errorf("registry: target %q: %w", dst.ID, err)
 	}
 	c, sc, err := revalidate.NewCasterPair(ss, ds)
 	if err != nil {
-		return nil, nil, fmt.Errorf("registry: pair (%q, %q): %w", src.ID, dst.ID, err)
+		return nil, fmt.Errorf("registry: pair (%q, %q): %w", src.ID, dst.ID, err)
 	}
 	report := c.Report()
-	pair := &Pair{
+	return &Pair{
 		Src: src, Dst: dst,
 		SrcSchema: ss, DstSchema: ds,
 		Caster: c, Stream: sc,
 		Report: report,
-	}
-	blob, err := artifact.Encode(src.artifactInfo(), dst.artifactInfo(), c, report)
-	if err != nil {
-		// Unencodable pairs stay servable; charge the old estimate instead.
-		pair.Cost = int64(src.Bytes+dst.Bytes) + int64(report.IDAStates)*costPerIDAState
-		return pair, nil, nil
-	}
-	pair.Cost = int64(len(blob))
-	return pair, blob, nil
+		Cost:   pairCost(src, dst, report),
+	}, nil
+}
+
+// encode serializes the pair as an artifact blob.
+func (p *Pair) encode() ([]byte, error) {
+	return artifact.Encode(p.Src.artifactInfo(), p.Dst.artifactInfo(), p.Caster, p.Report)
 }
 
 // artifactInfo is the schema's identity as the artifact codec carries it.
@@ -594,15 +597,15 @@ func (r *Registry) loadArtifactPair(ctx context.Context, src, dst *SchemaEntry) 
 	return pairFromDecoded(src, dst, dec)
 }
 
-// pairFromDecoded wraps a decoded artifact as a cache pair; Cost is the
-// blob's real size on the wire.
+// pairFromDecoded wraps a decoded artifact as a cache pair, charged the
+// same Cost as the compile it replaces.
 func pairFromDecoded(src, dst *SchemaEntry, dec *artifact.Decoded) *Pair {
 	return &Pair{
 		Src: src, Dst: dst,
 		SrcSchema: dec.SrcSchema, DstSchema: dec.DstSchema,
 		Caster: dec.Caster, Stream: dec.Stream,
 		Report: dec.Report,
-		Cost:   int64(dec.Size),
+		Cost:   pairCost(src, dst, dec.Report),
 	}
 }
 
@@ -787,7 +790,7 @@ func (r *Registry) ArtifactBlob(key string) ([]byte, error) {
 	if pair == nil {
 		return nil, fmt.Errorf("registry: no artifact under key %s: %w", key, artifact.ErrNotFound)
 	}
-	return artifact.Encode(pair.Src.artifactInfo(), pair.Dst.artifactInfo(), pair.Caster, pair.Report)
+	return pair.encode()
 }
 
 // insertLocked adds e to the cache maps and the LRU front, indexed under

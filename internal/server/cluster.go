@@ -68,6 +68,10 @@ const (
 // not compiled the pair, so proxying to it is the right next step.
 var errPeerNotFound = errors.New("peer has no artifact")
 
+// maxDrainBytes bounds how much of an unwanted peer response body is read
+// so that its connection can be reused.
+const maxDrainBytes = 4 << 10
+
 // errBreakerOpen reports a call refused locally because the peer's circuit
 // breaker is open — no packet was sent; the degraded-mode policy decides
 // what the client gets.
@@ -166,7 +170,13 @@ func (c *cluster) doFetch(ctx context.Context, sp *telemetry.Span, owner, key st
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// A body closed unread closes its connection, so the proxy that
+		// follows a 404 would dial afresh. Drain a short error body to keep
+		// the connection; a longer one is not worth waiting for.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrainBytes))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode == http.StatusNotFound {
 		return nil, errPeerNotFound
 	}

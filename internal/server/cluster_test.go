@@ -1,12 +1,16 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/artifact"
@@ -314,5 +318,31 @@ func TestArtifactRoute(t *testing.T) {
 	}
 	if code, _ := do(t, "GET", ts.URL+"/artifacts/not-a-key", ""); code != 404 {
 		t.Fatalf("hostile key: %d, want 404", code)
+	}
+}
+
+// TestFetchNotFoundKeepsConnection: a peer's 404 answer leaves its
+// connection reusable, so repeated fetch→404 sequences (the cold path of
+// every non-owner lookup) run over one TCP connection instead of dialing
+// one per fetch.
+func TestFetchNotFoundKeepsConnection(t *testing.T) {
+	var dials atomic.Int32
+	ts := httptest.NewUnstartedServer(New(registry.New(registry.Config{}), Options{}))
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	c := newCluster("http://self.invalid", []string{ts.URL})
+	const fetches = 20
+	for i := 0; i < fetches; i++ {
+		if _, err := c.fetchArtifact(context.Background(), ts.URL, artifact.Key("no", "pe")); !errors.Is(err, errPeerNotFound) {
+			t.Fatalf("fetch %d: %v, want errPeerNotFound", i, err)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d fetches answered 404 opened %d connections, want 1", fetches, n)
 	}
 }

@@ -305,7 +305,17 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := New(reg, Options{})
-	hs := &http.Server{Handler: srv}
+	// The server reports each connection that starts a request; the test
+	// waits for the cast's before it begins the drain.
+	active := make(chan string, 16)
+	hs := &http.Server{Handler: srv, ConnState: func(c net.Conn, st http.ConnState) {
+		if st == http.StateActive {
+			select {
+			case active <- c.RemoteAddr().String():
+			default:
+			}
+		}
+	}}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -318,6 +328,19 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatalf("healthz before drain: %d %s", code, body)
 	}
 
+	// The cast runs on a connection of its own. On a keep-alive connection
+	// left by /healthz, the server may still be finishing that request
+	// when Shutdown begins, and then closes the connection instead of
+	// reading the next one.
+	castConn := make(chan string, 1)
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err == nil {
+			castConn <- c.LocalAddr().String()
+		}
+		return c, err
+	}}
+	defer tr.CloseIdleConnections()
 	pr, pw := io.Pipe()
 	type result struct {
 		body string
@@ -325,7 +348,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, err := http.Post("http://"+ln.Addr().String()+"/cast/v1/v2", "application/xml", pr)
+		resp, err := (&http.Client{Transport: tr}).Post(base+"/cast/v1/v2", "application/xml", pr)
 		if err != nil {
 			done <- result{err: err}
 			return
@@ -339,6 +362,15 @@ func TestGracefulDrain(t *testing.T) {
 	half := len(doc) / 2
 	if _, err := io.WriteString(pw, doc[:half]); err != nil {
 		t.Fatal(err)
+	}
+	// The request is in flight once the server has read its first bytes.
+	addr, timeout := <-castConn, time.After(5*time.Second)
+	for a := ""; a != addr; {
+		select {
+		case a = <-active:
+		case <-timeout:
+			t.Fatal("the server never reported the cast request active")
+		}
 	}
 	// Start draining (as castd does on SIGTERM, before calling Shutdown):
 	// /healthz must flip to 503 so load balancers stop routing here, while

@@ -22,26 +22,34 @@ import (
 )
 
 // Caster holds the preprocessed automata for casting strings from L(a) to
-// L(b). Construction cost is O(|a|·|b|); per-string validation then scans
-// at most the symbols an optimal immediate decision automaton must.
-// A Caster is safe for concurrent use.
+// L(b). Construction cost is linear in the pairs of (a, b) reachable from
+// the start pair; per-string validation then scans at most the symbols an
+// optimal immediate decision automaton must. A Caster is safe for
+// concurrent use.
 type Caster struct {
 	A, B *fa.DFA
 
-	// CImmed is c_immed: the full-product immediate decision automaton.
+	// CImmed is c_immed over the pairs reachable from (start_a, start_b):
+	// every scan that starts at the start pair runs on it.
 	CImmed *fa.IDA
 	// BImmed is b_immed: the target automaton's own IDA, used to scan
 	// modified prefixes (where knowledge of a is useless).
 	BImmed *fa.IDA
+
+	// The §4.3 forward scan enters c_immed at an arbitrary pair (q_a, q_b),
+	// which may be unreachable from the start pair, so it runs on the
+	// full-product c_immed (O(|a|·|b|) states), built on its first use.
+	fullOnce   sync.Once
+	fullCImmed *fa.IDA
 
 	// Reverse machinery for append-heavy edits (§4.3), built lazily on
 	// first use: the reverse of a DFA determinizes through subset
 	// construction, which can be exponentially larger than the forward
 	// automaton (the reverse of a DFA is an NFA — the paper's footnote 3),
 	// so it is only paid for when a reverse scan is actually profitable.
-	// This Once is the single synchronization point of the whole cast hot
-	// path, and it is off that path: only ValidateModified's reverse-scan
-	// branch reaches it, never the per-element validate loop.
+	// These Onces are the only synchronization points of the cast hot
+	// path, and they are off that path: only ValidateModified reaches
+	// them, never the per-element validate loop.
 	revOnce   sync.Once
 	revA      *fa.DFA
 	revCImmed *fa.IDA
@@ -57,16 +65,18 @@ func New(a, b *fa.DFA) *Caster {
 	return &Caster{
 		A:      a,
 		B:      b,
-		CImmed: fa.DeriveCastIDA(a, b),
+		CImmed: fa.DeriveReachableCastIDA(a, b),
 		BImmed: fa.DeriveIDA(b),
 	}
 }
 
 // Restore rebuilds a Caster from deserialized parts, skipping the
-// DeriveCastIDA/DeriveIDA preprocessing New pays: cImmed must be a
-// full-product IDA over (a, b) and bImmed the target automaton's own IDA
-// (bImmed.D must be b itself, as DeriveIDA guarantees). Reverse-automaton
-// machinery stays lazy, exactly as after New.
+// DeriveReachableCastIDA/DeriveIDA preprocessing New pays: cImmed must be
+// a cast IDA over (a, b) whose start is the start pair, over the reachable
+// pairs as New builds it or over the full product as earlier artifacts
+// hold it, and bImmed the target automaton's own IDA (bImmed.D must be b
+// itself, as DeriveIDA guarantees). The full-product and reverse
+// machinery stay lazy, exactly as after New.
 func Restore(a, b *fa.DFA, cImmed, bImmed *fa.IDA) (*Caster, error) {
 	if a.NumSymbols() != b.NumSymbols() {
 		return nil, fmt.Errorf("strcast: Restore: mismatched alphabets (%d vs %d)", a.NumSymbols(), b.NumSymbols())
@@ -89,6 +99,12 @@ func Restore(a, b *fa.DFA, cImmed, bImmed *fa.IDA) (*Caster, error) {
 			len(bImmed.IA), len(bImmed.IR), b.NumStates())
 	}
 	return &Caster{A: a, B: b, CImmed: cImmed, BImmed: bImmed}, nil
+}
+
+// full returns the lazily-built full-product c_immed.
+func (c *Caster) full() *fa.IDA {
+	c.fullOnce.Do(func() { c.fullCImmed = fa.DeriveCastIDA(c.A, c.B) })
+	return c.fullCImmed
 }
 
 // reverse returns the lazily-built reverse automata.
@@ -183,10 +199,10 @@ func (c *Caster) validateForward(s, sp []fa.Symbol, suffixLen int) Result {
 	qa := c.A.Run(c.A.Start(), s[:n-suffixLen])
 	stepsOnA := n - suffixLen
 
-	// Step 3: continue scanning the unmodified suffix with c_immed from
-	// the pair (q_a, q_b).
-	pairState := c.CImmed.PairState(qa, qb)
-	cres := c.CImmed.Scan(pairState, sp[i:])
+	// Step 3: continue scanning the unmodified suffix with the
+	// full-product c_immed from the pair (q_a, q_b).
+	cImmed := c.full()
+	cres := cImmed.Scan(cImmed.PairState(qa, qb), sp[i:])
 	return Result{
 		Accepted: cres.Accepted,
 		Decision: cres.Decision,

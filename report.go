@@ -45,8 +45,9 @@ type PairReport struct {
 	DisjointPairs int `json:"disjointPairs"`
 
 	// ContentAutomata counts the per-type-pair content-model cast automata
-	// held for the pair; IDAStates is the total number of c_immed product
-	// states across them (a memory-footprint proxy).
+	// held for the pair; IDAStates is the total number of c_immed states
+	// across them, each over the pairs reachable from its start pair (a
+	// memory-footprint proxy).
 	ContentAutomata int `json:"contentAutomata"`
 	IDAStates       int `json:"idaStates"`
 }
