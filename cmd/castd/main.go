@@ -1,7 +1,7 @@
 // Command castd is the schema cast revalidation daemon: a long-running
 // HTTP service that registers schemas, amortizes the per-pair
 // preprocessing (R_sub/R_dis relations and immediate decision automata) in
-// an LRU cache, and cast-validates documents streamed through request
+// a cache that keeps the pairs costliest to rebuild, and cast-validates documents streamed through request
 // bodies — the message-broker deployment of EDBT'04 §1.
 //
 // Usage:

@@ -43,11 +43,9 @@ func (d *DFA) SetStart(s int) { d.start = s }
 func (d *DFA) AddState(accept bool) int {
 	id := len(d.accept)
 	d.accept = append(d.accept, accept)
-	row := make([]int32, d.numSymbols)
-	for i := range row {
-		row[i] = Dead
+	for i := 0; i < d.numSymbols; i++ {
+		d.trans = append(d.trans, Dead)
 	}
-	d.trans = append(d.trans, row...)
 	return id
 }
 

@@ -4,6 +4,13 @@ package fa
 // partition-refinement algorithm over the trimmed, totalized automaton.
 // The result is trimmed again so the implicit dead state stays implicit;
 // a DFA for the empty language has start == Dead and zero states.
+//
+// The partition is refinable in place: every block is a range of one
+// permutation of the states, and a split moves the states entering the
+// splitter to the front of their block and makes them a block of their
+// own, in time proportional to their number. With Hopcroft's
+// smaller-half rule the whole refinement takes O(k·n log n) for n states
+// over k symbols.
 func Minimize(d *DFA) *DFA {
 	t := d.Trim()
 	if t.start == Dead || t.NumStates() == 0 {
@@ -13,140 +20,145 @@ func Minimize(d *DFA) *DFA {
 	n := total.NumStates()
 	nsym := total.numSymbols
 
-	// Reverse transition lists: rev[sym][state] = predecessors of state on sym.
-	rev := make([][][]int32, nsym)
-	for sym := 0; sym < nsym; sym++ {
-		rev[sym] = make([][]int32, n)
-	}
+	// Predecessors in one array: the states entering s on sym are
+	// pred[first[k]:first[k+1]] with k = sym*n + s.
+	first := make([]int32, nsym*n+1)
 	for s := 0; s < n; s++ {
 		for sym := 0; sym < nsym; sym++ {
-			succ := total.Step(s, Symbol(sym))
-			rev[sym][succ] = append(rev[sym][succ], int32(s))
+			first[sym*n+total.Step(s, Symbol(sym))+1]++
 		}
 	}
-
-	// Partition refinement state. block[s] is the block index of state s.
-	block := make([]int, n)
-	var blocks [][]int32
-	var acc, rej []int32
+	for k := 1; k < len(first); k++ {
+		first[k] += first[k-1]
+	}
+	pred := make([]int32, nsym*n)
+	fill := make([]int32, nsym*n)
+	copy(fill, first)
 	for s := 0; s < n; s++ {
-		if total.accept[s] {
-			acc = append(acc, int32(s))
-		} else {
-			rej = append(rej, int32(s))
-		}
-	}
-	addBlock := func(members []int32) int {
-		id := len(blocks)
-		blocks = append(blocks, members)
-		for _, s := range members {
-			block[s] = id
-		}
-		return id
-	}
-	if len(acc) > 0 {
-		addBlock(acc)
-	}
-	if len(rej) > 0 {
-		addBlock(rej)
-	}
-
-	// Worklist of (block, symbol) splitters.
-	type splitter struct {
-		block int
-		sym   int
-	}
-	var work []splitter
-	inWork := map[splitter]bool{}
-	push := func(b, sym int) {
-		sp := splitter{b, sym}
-		if !inWork[sp] {
-			inWork[sp] = true
-			work = append(work, sp)
-		}
-	}
-	for sym := 0; sym < nsym; sym++ {
-		// Hopcroft: enqueue the smaller of the two initial blocks; enqueueing
-		// both is also correct and simpler.
-		for b := range blocks {
-			push(b, sym)
+		for sym := 0; sym < nsym; sym++ {
+			k := sym*n + total.Step(s, Symbol(sym))
+			pred[fill[k]] = int32(s)
+			fill[k]++
 		}
 	}
 
-	touched := make([]int32, 0, n) // scratch: blocks touched during a split
-	inSplit := make([]int32, n)    // per state: count of predecessors in splitter
+	// The partition: block b holds elems[start[b]:end[b]], loc[s] is the
+	// position of s in elems and block[s] its block. While a splitter is
+	// applied, the marked states of b are elems[start[b]:mid[b]].
+	elems := make([]int32, 0, n)
+	loc := make([]int32, n)
+	block := make([]int32, n)
+	var start, end, mid []int32
+	// Splitters (b, sym) waiting on the worklist, as b*nsym + sym; pending
+	// says which are on it.
+	var work []int32
+	var pending []bool
+	push := func(b int32, sym int) {
+		if k := int(b)*nsym + sym; !pending[k] {
+			pending[k] = true
+			work = append(work, int32(k))
+		}
+	}
+	addBlock := func(lo, hi int32) int32 {
+		b := int32(len(start))
+		start, end, mid = append(start, lo), append(end, hi), append(mid, lo)
+		for sym := 0; sym < nsym; sym++ {
+			pending = append(pending, false)
+		}
+		return b
+	}
+	for _, acc := range []bool{true, false} {
+		lo := int32(len(elems))
+		for s := 0; s < n; s++ {
+			if total.accept[s] == acc {
+				loc[s] = int32(len(elems))
+				elems = append(elems, int32(s))
+			}
+		}
+		if hi := int32(len(elems)); hi > lo {
+			b := addBlock(lo, hi)
+			for _, s := range elems[lo:hi] {
+				block[s] = b
+			}
+		}
+	}
+	for b := range start {
+		for sym := 0; sym < nsym; sym++ {
+			push(int32(b), sym)
+		}
+	}
+
+	var entering, touched []int32
 	for len(work) > 0 {
-		sp := work[len(work)-1]
+		k := int(work[len(work)-1])
 		work = work[:len(work)-1]
-		delete(inWork, sp)
+		pending[k] = false
+		b, sym := k/nsym, k%nsym
 
-		// X = states with a transition on sym into the splitter block.
-		var X []int32
-		for _, s := range blocks[sp.block] {
-			X = append(X, rev[sp.sym][s]...)
+		// The states entering block b on sym; distinct, since each state
+		// has one successor on sym.
+		entering = entering[:0]
+		for _, s := range elems[start[b]:end[b]] {
+			j := sym*n + int(s)
+			entering = append(entering, pred[first[j]:first[j+1]]...)
 		}
-		if len(X) == 0 {
-			continue
-		}
-		// Mark X membership.
-		for _, s := range X {
-			inSplit[s]++
-		}
-		// Group X by current block and split blocks that are cut by X.
-		counts := map[int]int{}
-		for _, s := range X {
-			if inSplit[s] == 1 { // first time seen in this round
-				counts[block[s]]++
+		// Mark them: swap each to the marked front of its block.
+		for _, s := range entering {
+			c := block[s]
+			if loc[s] < mid[c] {
+				continue
 			}
+			if mid[c] == start[c] {
+				touched = append(touched, c)
+			}
+			p, q := loc[s], mid[c]
+			o := elems[q]
+			elems[p], elems[q] = o, s
+			loc[o], loc[s] = p, q
+			mid[c]++
 		}
-		for b, cnt := range counts {
-			if cnt == len(blocks[b]) {
-				continue // whole block inside X: no split
+		// Split off the marked part of every block it does not fill.
+		for _, c := range touched {
+			m := mid[c]
+			mid[c] = start[c]
+			if m == end[c] {
+				continue
 			}
-			// Split block b into (in X) and (not in X).
-			var in, out []int32
-			for _, s := range blocks[b] {
-				if inSplit[s] > 0 {
-					in = append(in, s)
-				} else {
-					out = append(out, s)
-				}
+			nb := addBlock(start[c], m)
+			start[c], mid[c] = m, m
+			for _, s := range elems[start[nb]:end[nb]] {
+				block[s] = nb
 			}
-			blocks[b] = in
-			nb := addBlock(out)
-			touched = append(touched, int32(b), int32(nb))
-			// Update worklist: for each symbol, if (b,sym) pending, add (nb,sym)
-			// too; otherwise add the smaller of the two.
+			// Hopcroft: a pending splitter (c, sym) now also needs (nb, sym);
+			// otherwise splitting by the smaller half suffices.
+			smaller := nb
+			if end[c]-start[c] < end[nb]-start[nb] {
+				smaller = c
+			}
 			for sym := 0; sym < nsym; sym++ {
-				if inWork[splitter{b, sym}] {
+				if pending[int(c)*nsym+sym] {
 					push(nb, sym)
-				} else if len(in) <= len(out) {
-					push(b, sym)
 				} else {
-					push(nb, sym)
+					push(smaller, sym)
 				}
 			}
-		}
-		for _, s := range X {
-			inSplit[s] = 0
 		}
 		touched = touched[:0]
 	}
 
 	// Build the quotient automaton.
 	m := NewDFA(nsym)
-	for range blocks {
+	for range start {
 		m.AddState(false)
 	}
-	for b, members := range blocks {
-		rep := int(members[0])
+	for b := range start {
+		rep := int(elems[start[b]])
 		m.SetAccept(b, total.accept[rep])
 		for sym := 0; sym < nsym; sym++ {
-			succ := total.Step(rep, Symbol(sym))
-			m.SetTransition(b, Symbol(sym), block[succ])
+			m.SetTransition(b, Symbol(sym), int(block[total.Step(rep, Symbol(sym))]))
 		}
 	}
-	m.SetStart(block[total.start])
+	m.SetStart(int(block[total.start]))
 	return m.canonical()
 }
 
@@ -154,7 +166,7 @@ func Minimize(d *DFA) *DFA {
 // breadth-first order from the start state with successors taken in symbol
 // order. Isomorphic automata over the same symbols come out identical, so
 // Minimize's result depends on the language alone — not on Hopcroft's
-// block numbering, which follows map iteration order.
+// block numbering, which follows the order splitters are applied in.
 func (d *DFA) canonical() *DFA {
 	c := NewDFA(d.numSymbols)
 	live := d.LiveStates()

@@ -142,13 +142,13 @@ func TestInstallArtifact(t *testing.T) {
 		t.Fatal("non-owner claims a cached pair before install")
 	}
 	// Garbage must be rejected without caching anything.
-	if _, err := other.InstallArtifact(context.Background(), src, dst, []byte("junk")); err == nil {
+	if _, err := other.InstallArtifact(context.Background(), src, dst, []byte("junk"), 0); err == nil {
 		t.Fatal("install accepted garbage")
 	}
 	if _, ok := other.CachedPair(src, dst); ok {
 		t.Fatal("failed install left a cached pair behind")
 	}
-	ip, err := other.InstallArtifact(context.Background(), src, dst, blob)
+	ip, err := other.InstallArtifact(context.Background(), src, dst, blob, 0)
 	if err != nil {
 		t.Fatalf("install: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestInstallArtifact(t *testing.T) {
 	if _, err := mis.Register("v2", `<?xml version="1.0"?><xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"><xs:element name="b" type="xs:string"/></xs:schema>`, FormatAuto, ""); err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	if _, err := mis.InstallArtifact(context.Background(), "v1", "v2", blob); err == nil {
+	if _, err := mis.InstallArtifact(context.Background(), "v1", "v2", blob, 0); err == nil {
 		t.Fatal("install accepted a blob addressing different schema content")
 	}
 }

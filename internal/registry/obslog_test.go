@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/wgen"
@@ -61,26 +62,13 @@ func (h *recordingHandler) byMessage(msg string) []capturedRecord {
 // name the victim.
 func TestEvictionLogOncePerVictim(t *testing.T) {
 	h := &recordingHandler{}
-	r := New(Config{MaxEntries: 2, Logger: slog.New(h)})
-	for id, optional := range map[string]bool{"a": true, "b": false} {
-		if _, err := r.Register(id, wgen.Figure2XSD(optional, 100), FormatAuto, ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := r.Register("c", wgen.Figure2XSD(false, 200), FormatAuto, ""); err != nil {
-		t.Fatal(err)
-	}
-	for _, pair := range [][2]string{{"a", "b"}, {"a", "c"}} {
-		if _, err := r.Pair(pair[0], pair[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	r, clk := abcRegistry(t, Config{MaxEntries: 2, Logger: slog.New(h)})
+	compileAt(t, r, clk, "a", "b", 3*time.Millisecond)
+	compileAt(t, r, clk, "a", "c", time.Millisecond)
 	if got := h.byMessage("registry: pair evicted"); len(got) != 0 {
 		t.Fatalf("eviction logged before any eviction happened: %v", got)
 	}
-	if _, err := r.Pair("b", "c"); err != nil { // evicts (a, b)
-		t.Fatal(err)
-	}
+	compileAt(t, r, clk, "b", "c", 2*time.Millisecond) // evicts (a, c)
 
 	recs := h.byMessage("registry: pair evicted")
 	evictions := int(r.Stats().Evictions)
@@ -91,12 +79,16 @@ func TestEvictionLogOncePerVictim(t *testing.T) {
 		t.Fatalf("eviction records = %d, evictions = %d: must be one record per victim", len(recs), evictions)
 	}
 	rec := recs[0]
-	if rec.attrs["src"].String() != "a" || rec.attrs["dst"].String() != "b" {
-		t.Errorf("eviction record names (%s, %s), want (a, b)", rec.attrs["src"], rec.attrs["dst"])
+	if rec.attrs["src"].String() != "a" || rec.attrs["dst"].String() != "c" {
+		t.Errorf("eviction record names (%s, %s), want (a, c)", rec.attrs["src"], rec.attrs["dst"])
 	}
 	aHash, _ := r.Schema("a")
 	if rec.attrs["src_hash"].String() != aHash.Hash {
 		t.Errorf("src_hash = %s, want %s", rec.attrs["src_hash"], aHash.Hash)
+	}
+	cHash, _ := r.Schema("c")
+	if rec.attrs["dst_hash"].String() != cHash.Hash {
+		t.Errorf("dst_hash = %s, want %s", rec.attrs["dst_hash"], cHash.Hash)
 	}
 	if rec.attrs["bytes"].Int64() <= 0 {
 		t.Errorf("bytes = %d, want > 0", rec.attrs["bytes"].Int64())
@@ -106,12 +98,13 @@ func TestEvictionLogOncePerVictim(t *testing.T) {
 	}
 
 	// Further lookups that evict again keep the 1:1 record/eviction ratio.
-	if _, err := r.Pair("a", "b"); err != nil { // evicts the LRU again
-		t.Fatal(err)
-	}
+	compileAt(t, r, clk, "a", "c", 5*time.Millisecond) // evicts (b, c)
 	recs = h.byMessage("registry: pair evicted")
-	if evictions = int(r.Stats().Evictions); len(recs) != evictions {
-		t.Fatalf("after second round: records = %d, evictions = %d", len(recs), evictions)
+	if evictions = int(r.Stats().Evictions); evictions != 2 || len(recs) != evictions {
+		t.Fatalf("after second round: records = %d, evictions = %d, want 2 / 2", len(recs), evictions)
+	}
+	if rec := recs[1]; rec.attrs["src"].String() != "b" || rec.attrs["dst"].String() != "c" {
+		t.Errorf("second eviction record names (%s, %s), want (b, c)", rec.attrs["src"], rec.attrs["dst"])
 	}
 }
 

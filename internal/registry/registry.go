@@ -18,9 +18,14 @@
 //   - Pair lookups are singleflight: N concurrent requests for an
 //     uncompiled pair trigger exactly one compile; the other N-1 block on
 //     it and share the result.
-//   - Eviction is LRU under a configurable entry and approximate byte
-//     budget; the most recently used pair is never evicted, so the cache
-//     stays useful even when one pair alone exceeds the budget.
+//   - Eviction keeps the pairs that cost most to rebuild, under a
+//     configurable entry and approximate byte budget. An entry is worth
+//     its recent lookups times its rebuild cost (the wall time this node
+//     paid to obtain it); the victim is the ready entry worth least, the
+//     least recently used on ties, and a newcomer worth less than that
+//     victim is refused instead. An in-flight compile is never a victim,
+//     and a newcomer with no other ready entry beside it is kept, so the
+//     cache stays useful even when one pair alone exceeds the budget.
 //   - Content models are compiled once per distinct model, not once per
 //     schema load: a schema.ModelTable holds the models of the currently
 //     bound schemas (reference-counted on bind and hot-swap), and every
@@ -95,7 +100,13 @@ type Pair struct {
 	Caster               *revalidate.Caster
 	Stream               *revalidate.StreamCaster
 	Report               revalidate.PairReport
-	CompileTime          time.Duration
+	// Key is artifact.Key of the two content hashes: the pair's address in
+	// the artifact store, on the peer route and in hot-pair labels.
+	Key string
+	// CompileTime is the wall time this node paid to obtain the pair: the
+	// compile, the disk-artifact load, or a peer's fetch round trip plus
+	// the decode. It is the rebuild cost the eviction policy weighs.
+	CompileTime time.Duration
 	// Cost is the cache footprint charged against the byte budget,
 	// estimated by pairCost from the schema texts and the c_immed states.
 	// A compiled, restored or installed pair is charged the same.
@@ -200,6 +211,17 @@ type pairEntry struct {
 	compiler telemetry.SpanContext
 }
 
+// usable reports whether e holds a compiled pair: its compile has finished
+// and did not fail.
+func (e *pairEntry) usable() bool {
+	select {
+	case <-e.ready:
+		return e.err == nil
+	default:
+		return false
+	}
+}
+
 // Registry is the concurrent schema store and pair cache. The mutex guards
 // only map/list bookkeeping; compiles and validations run outside it.
 type Registry struct {
@@ -215,6 +237,15 @@ type Registry struct {
 	byArtifact map[string]*pairEntry // the pairs map, keyed by artifactKey
 	lru        *list.List            // of *pairEntry; Front = most recently used
 	bytes      int64
+
+	// freq counts recent lookups per pair key, nil when the cache is
+	// unbounded and never evicts; lookups counts them toward the next
+	// halving (see touchLocked).
+	freq    map[string]int64
+	lookups int
+
+	// clock times what each pair cost to obtain; time.Now outside tests.
+	clock func() time.Time
 
 	hits, misses, compiles, evictions atomic.Int64
 	coalesces                         atomic.Int64
@@ -240,7 +271,7 @@ func (r *Registry) SetCompileObserver(fn func(seconds float64)) {
 
 // New returns an empty registry.
 func New(cfg Config) *Registry {
-	return &Registry{
+	r := &Registry{
 		cfg:        cfg,
 		logger:     cfg.Logger,
 		store:      cfg.Store,
@@ -249,7 +280,12 @@ func New(cfg Config) *Registry {
 		pairs:      map[string]*pairEntry{},
 		byArtifact: map[string]*pairEntry{},
 		lru:        list.New(),
+		clock:      time.Now,
 	}
+	if cfg.MaxEntries > 0 || cfg.MaxBytes > 0 {
+		r.freq = map[string]int64{}
+	}
+	return r
 }
 
 // Store returns the artifact store the registry reads and writes through
@@ -406,6 +442,7 @@ func (r *Registry) PairCtx(ctx context.Context, srcID, dstID string) (*Pair, Loo
 		return nil, Lookup{}, &UnknownSchemaError{ID: dstID}
 	}
 	key := src.Hash + "\x00" + dst.Hash
+	r.touchLocked(key)
 	if e, ok := r.pairs[key]; ok {
 		// Hit (possibly on a compile still in flight — wait for it).
 		e.hits.Add(1)
@@ -433,18 +470,15 @@ func (r *Registry) PairCtx(ctx context.Context, srcID, dstID string) (*Pair, Loo
 
 	outcome := LookupMiss
 	var err error
-	start := time.Now()
 	pair := r.loadArtifactPair(ctx, src, dst)
 	if pair != nil {
-		// Disk hit: the pair is ready without a compile; CompileTime is the
-		// decode/reconstruction wall clock.
-		pair.CompileTime = time.Since(start)
+		// Disk hit: the pair is ready without a compile.
 		outcome = LookupArtifact
 	} else {
 		r.compiles.Add(1)
-		start = time.Now()
+		start := r.clock()
 		pair, err = r.compilePairRecovered(ctx, src, dst)
-		d := time.Since(start)
+		d := r.clock().Sub(start)
 		r.compileNS.Add(int64(d))
 		if obs := r.compileObserver.Load(); obs != nil {
 			(*obs)(d.Seconds())
@@ -488,6 +522,45 @@ func (r *Registry) PairCtx(ctx context.Context, srcID, dstID string) (*Pair, Loo
 	r.mu.Unlock()
 	r.logEvictions(ctx, victims)
 	return pair, lk, nil
+}
+
+// countWindow is TinyLFU's sample size per cache entry: the lookup counts
+// halve after countWindow × the entry cap lookups.
+const countWindow = 10
+
+// touchLocked counts one lookup of key. After a window of lookups (see
+// windowLocked) every count halves and keys at zero are forgotten,
+// TinyLFU's reset: counts follow recent traffic, and whatever keys clients
+// send, the map never holds more than two windows of keys (a halving
+// leaves at most half the counts it found, so at most one window). Caller
+// holds r.mu.
+func (r *Registry) touchLocked(key string) {
+	if r.freq == nil {
+		return
+	}
+	r.freq[key]++
+	r.lookups++
+	if r.lookups < r.windowLocked() {
+		return
+	}
+	r.lookups = 0
+	for k, n := range r.freq {
+		if n /= 2; n == 0 {
+			delete(r.freq, k)
+		} else {
+			r.freq[k] = n
+		}
+	}
+}
+
+// windowLocked is the number of lookups between two halvings: countWindow
+// × the entry cap, or × the cached pairs when only bytes are capped.
+func (r *Registry) windowLocked() int {
+	n := r.cfg.MaxEntries
+	if n <= 0 {
+		n = max(len(r.pairs), 1)
+	}
+	return countWindow * n
 }
 
 // logEvictions emits one structured record per evicted entry, outside the
@@ -562,6 +635,7 @@ func compilePair(src, dst *SchemaEntry, models *schema.ModelTable) (*Pair, error
 		SrcSchema: ss, DstSchema: ds,
 		Caster: c, Stream: sc,
 		Report: report,
+		Key:    artifact.Key(src.Hash, dst.Hash),
 		Cost:   pairCost(src, dst, report),
 	}, nil
 }
@@ -576,14 +650,15 @@ func (e *SchemaEntry) artifactInfo() artifact.SchemaInfo {
 	return artifact.SchemaInfo{Format: string(e.Format), DTDRoot: e.DTDRoot, Text: e.Text, Hash: e.Hash}
 }
 
-// loadArtifactPair tries the disk store for the pair's artifact. Any
-// failure — no store, not found, corrupt, stale — returns nil and the
-// caller compiles fresh; the store itself counts the outcome and
-// quarantines corrupt files.
+// loadArtifactPair tries the disk store for the pair's artifact, timing
+// the load as the pair's CompileTime. Any failure — no store, not found,
+// corrupt, stale — returns nil and the caller compiles fresh; the store
+// itself counts the outcome and quarantines corrupt files.
 func (r *Registry) loadArtifactPair(ctx context.Context, src, dst *SchemaEntry) *Pair {
 	if r.store == nil {
 		return nil
 	}
+	start := r.clock()
 	dec, err := r.store.LoadPair(artifact.Key(src.Hash, dst.Hash), r.models)
 	if err != nil {
 		if !errors.Is(err, artifact.ErrNotFound) && r.logger != nil {
@@ -594,7 +669,9 @@ func (r *Registry) loadArtifactPair(ctx context.Context, src, dst *SchemaEntry) 
 		}
 		return nil
 	}
-	return pairFromDecoded(src, dst, dec)
+	pair := pairFromDecoded(src, dst, dec)
+	pair.CompileTime = r.clock().Sub(start)
+	return pair
 }
 
 // pairFromDecoded wraps a decoded artifact as a cache pair, charged the
@@ -605,6 +682,7 @@ func pairFromDecoded(src, dst *SchemaEntry, dec *artifact.Decoded) *Pair {
 		SrcSchema: dec.SrcSchema, DstSchema: dec.DstSchema,
 		Caster: dec.Caster, Stream: dec.Stream,
 		Report: dec.Report,
+		Key:    artifact.Key(src.Hash, dst.Hash),
 		Cost:   pairCost(src, dst, dec.Report),
 	}
 }
@@ -612,7 +690,9 @@ func pairFromDecoded(src, dst *SchemaEntry, dec *artifact.Decoded) *Pair {
 // CachedPair returns the compiled pair for the current versions of the two
 // schema ids only if it is already in memory and ready — no disk read, no
 // compile, no blocking on an in-flight compile. The cluster router uses it
-// to prefer a warm local copy over peer traffic.
+// to prefer a warm local copy over peer traffic. Hit or miss, the call
+// counts as a lookup of the pair, so a node weighs the pairs it only
+// proxies too.
 func (r *Registry) CachedPair(srcID, dstID string) (*Pair, bool) {
 	r.mu.Lock()
 	src, ok := r.schemas[srcID]
@@ -625,18 +705,10 @@ func (r *Registry) CachedPair(srcID, dstID string) (*Pair, bool) {
 		r.mu.Unlock()
 		return nil, false
 	}
-	e, ok := r.pairs[src.Hash+"\x00"+dst.Hash]
-	if !ok {
-		r.mu.Unlock()
-		return nil, false
-	}
-	select {
-	case <-e.ready:
-	default:
-		r.mu.Unlock()
-		return nil, false
-	}
-	if e.err != nil {
+	key := src.Hash + "\x00" + dst.Hash
+	r.touchLocked(key)
+	e, ok := r.pairs[key]
+	if !ok || !e.usable() {
 		r.mu.Unlock()
 		return nil, false
 	}
@@ -700,10 +772,11 @@ func (r *Registry) DiskPair(ctx context.Context, srcID, dstID string) (*Pair, bo
 // into the cache under the current versions of the two schema ids, without
 // counting a compile. The blob must address exactly those versions — its
 // embedded content hashes are checked — and is written through to the local
-// store so the pair survives a restart. If the pair landed in the cache
-// concurrently (a racing lookup or install), that copy wins and is
-// returned.
-func (r *Registry) InstallArtifact(ctx context.Context, srcID, dstID string, blob []byte) (*Pair, error) {
+// store so the pair survives a restart. fetch is what obtaining the blob
+// took (the peer round trip); with the decode it makes the pair's rebuild
+// cost. If the pair landed in the cache concurrently (a racing lookup or
+// install), that copy wins and is returned.
+func (r *Registry) InstallArtifact(ctx context.Context, srcID, dstID string, blob []byte, fetch time.Duration) (*Pair, error) {
 	r.mu.Lock()
 	src, ok := r.schemas[srcID]
 	if !ok {
@@ -726,7 +799,7 @@ func (r *Registry) InstallArtifact(ctx context.Context, srcID, dstID string, blo
 	}
 	r.mu.Unlock()
 
-	start := time.Now()
+	start := r.clock()
 	dec, err := artifact.DecodeModels(blob, r.models)
 	if err != nil {
 		return nil, fmt.Errorf("registry: installing artifact for (%q, %q): %w", srcID, dstID, err)
@@ -735,7 +808,7 @@ func (r *Registry) InstallArtifact(ctx context.Context, srcID, dstID string, blo
 		return nil, fmt.Errorf("registry: artifact for (%q, %q) addresses different schema content", srcID, dstID)
 	}
 	pair := pairFromDecoded(src, dst, dec)
-	pair.CompileTime = time.Since(start)
+	pair.CompileTime = fetch + r.clock().Sub(start)
 
 	r.mu.Lock()
 	if e, ok := r.pairs[key]; ok {
@@ -777,20 +850,10 @@ func (r *Registry) ArtifactBlob(key string) ([]byte, error) {
 	r.mu.Lock()
 	e := r.byArtifact[key]
 	r.mu.Unlock()
-	var pair *Pair
-	if e != nil {
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				pair = e.pair
-			}
-		default:
-		}
-	}
-	if pair == nil {
+	if e == nil || !e.usable() {
 		return nil, fmt.Errorf("registry: no artifact under key %s: %w", key, artifact.ErrNotFound)
 	}
-	return pair.encode()
+	return e.pair.encode()
 }
 
 // insertLocked adds e to the cache maps and the LRU front, indexed under
@@ -809,33 +872,61 @@ func (r *Registry) removeLocked(e *pairEntry) {
 	delete(r.byArtifact, e.artifactKey)
 }
 
-// evictLocked drops LRU entries until the budgets hold, never evicting
-// keep (the entry just inserted or hit), and returns the victims so the
-// caller can log them outside the mutex. Evicted pairs remain usable by
-// holders; only the cache forgets them. Caller holds r.mu.
-func (r *Registry) evictLocked(keep *pairEntry) []*pairEntry {
-	over := func() bool {
-		if r.cfg.MaxEntries > 0 && len(r.pairs) > r.cfg.MaxEntries {
-			return true
-		}
-		return r.cfg.MaxBytes > 0 && r.bytes > r.cfg.MaxBytes
-	}
+// evictLocked drops entries until the budgets hold again after newcomer (a
+// pair just compiled, loaded or installed) joined the cache, and returns
+// the victims so the caller can log them outside the mutex. Each round
+// drops victimLocked's choice; when that is the newcomer itself, its
+// admission is refused and the round is the last. Evicted pairs remain
+// usable by holders; only the cache forgets them. Caller holds r.mu.
+func (r *Registry) evictLocked(newcomer *pairEntry) []*pairEntry {
 	var victims []*pairEntry
-	for over() {
-		back := r.lru.Back()
-		if back == nil {
+	for r.overLocked() {
+		v := r.victimLocked(newcomer)
+		if v == nil {
 			break
 		}
-		victim := back.Value.(*pairEntry)
-		if victim == keep {
-			break
-		}
-		r.removeLocked(victim)
-		r.bytes -= victim.cost
+		r.removeLocked(v)
+		r.bytes -= v.cost
 		r.evictions.Add(1)
-		victims = append(victims, victim)
+		victims = append(victims, v)
+		if v == newcomer {
+			break
+		}
 	}
 	return victims
+}
+
+// overLocked reports whether the cache exceeds its entry or byte budget.
+func (r *Registry) overLocked() bool {
+	if r.cfg.MaxEntries > 0 && len(r.pairs) > r.cfg.MaxEntries {
+		return true
+	}
+	return r.cfg.MaxBytes > 0 && r.bytes > r.cfg.MaxBytes
+}
+
+// victimLocked returns the ready entry worth least, recent lookups × rebuild
+// cost, taking the least recently used among equals. In-flight compiles
+// are never chosen. The newcomer competes like any entry, so it is chosen
+// when it is worth less than every other ready entry; with no other ready
+// entry there is no victim. Caller holds r.mu.
+func (r *Registry) victimLocked(newcomer *pairEntry) *pairEntry {
+	var victim *pairEntry
+	var least int64
+	others := false
+	for el := r.lru.Back(); el != nil; el = el.Prev() {
+		e := el.Value.(*pairEntry)
+		if !e.usable() {
+			continue
+		}
+		others = others || e != newcomer
+		if w := r.freq[e.key] * int64(e.pair.CompileTime); victim == nil || w < least {
+			victim, least = e, w
+		}
+	}
+	if !others {
+		return nil
+	}
+	return victim
 }
 
 // Len reports the number of cached compiled pairs.
@@ -864,13 +955,8 @@ func (r *Registry) Stats() Stats {
 	for el := r.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*pairEntry)
 		row := PairStats{Src: e.srcID, Dst: e.dstID, Hits: e.hits.Load(), Bytes: e.cost}
-		select {
-		case <-e.ready:
-			if e.pair != nil {
-				row.CompileNS = int64(e.pair.CompileTime)
-			}
-		default:
-			// Still compiling; report the row with zero compile time.
+		if e.usable() { // a row still compiling reports zero compile time
+			row.CompileNS = int64(e.pair.CompileTime)
 		}
 		st.PerPair = append(st.PerPair, row)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/wgen"
 )
@@ -232,76 +233,76 @@ func TestCompileObserver(t *testing.T) {
 	}
 }
 
-// TestEviction checks LRU behaviour under a 2-entry budget: the oldest
-// pair is dropped, the MRU pair stays cached, and an evicted-but-held pair
-// keeps validating.
+// TestEviction checks the policy under a 2-entry budget: the pair worth
+// least (lookups × rebuild cost) is dropped although it is not the least
+// recently used, a pair worth more displaces a cached one when it comes
+// back, and an evicted-but-held pair keeps validating.
 func TestEviction(t *testing.T) {
-	r := New(Config{MaxEntries: 2})
-	for id, optional := range map[string]bool{"a": true, "b": false} {
-		if _, err := r.Register(id, wgen.Figure2XSD(optional, 100), FormatAuto, ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := r.Register("c", wgen.Figure2XSD(false, 200), FormatAuto, ""); err != nil {
-		t.Fatal(err)
-	}
-	pAB, err := r.Pair("a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Pair("a", "c"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Pair("b", "c"); err != nil { // evicts (a, b)
-		t.Fatal(err)
-	}
+	r, clk := abcRegistry(t, Config{MaxEntries: 2})
+	pAB := compileAt(t, r, clk, "a", "b", 3*time.Millisecond)
+	compileAt(t, r, clk, "a", "c", time.Millisecond)
+	compileAt(t, r, clk, "b", "c", 2*time.Millisecond) // evicts (a, c), the cheapest
 	st := r.Stats()
 	if st.Pairs != 2 || st.Evictions != 1 {
 		t.Fatalf("want 2 cached pairs / 1 eviction, got %d / %d", st.Pairs, st.Evictions)
 	}
-	// The held (a, b) pair is immutable and still usable after eviction.
-	if _, err := pAB.Stream.Validate(strings.NewReader(poXML(true))); err != nil {
-		t.Fatalf("evicted pair unusable: %v", err)
+	if got := cachedPairs(r); got != "b>c a>b" {
+		t.Fatalf("cached %q, want (b, c) and (a, b)", got)
 	}
-	// The MRU pair (b, c) is still cached: requesting it again is a hit,
-	// not a compile.
+	// The held (a, b) pair is immutable and still usable whatever happens
+	// to the cache.
+	if _, err := pAB.Stream.Validate(strings.NewReader(poXML(true))); err != nil {
+		t.Fatalf("held pair unusable: %v", err)
+	}
+	// Both survivors are still cached: requesting them again is a hit,
+	// not a compile. (a, b), the least recently used, was kept.
 	before := r.Stats().Compiles
-	if _, err := r.Pair("b", "c"); err != nil {
-		t.Fatal(err)
+	for _, pr := range [][2]string{{"b", "c"}, {"a", "b"}} {
+		if _, err := r.Pair(pr[0], pr[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if after := r.Stats().Compiles; after != before {
-		t.Fatalf("MRU pair recompiled: %d -> %d", before, after)
+		t.Fatalf("cached pairs recompiled: %d -> %d", before, after)
 	}
-	// Requesting (a, b) again recompiles (it was evicted).
-	if _, err := r.Pair("a", "b"); err != nil {
-		t.Fatal(err)
+	// Requesting (a, c) again recompiles it once. At 2 lookups × 5 ms it
+	// is worth more than (b, c) at 2 × 2 ms, which goes.
+	compileAt(t, r, clk, "a", "c", 5*time.Millisecond)
+	st = r.Stats()
+	if st.Compiles != before+1 || st.Evictions != 2 {
+		t.Fatalf("compiles / evictions = %d / %d, want %d / 2", st.Compiles, st.Evictions, before+1)
 	}
-	if got := r.Stats().Compiles; got != before+1 {
-		t.Fatalf("evicted pair should recompile once, compiles %d -> %d", before, got)
+	if got := cachedPairs(r); got != "a>c a>b" {
+		t.Fatalf("cached %q, want (a, c) and (a, b)", got)
 	}
 }
 
 // TestByteBudget: a byte budget below the cost of two pairs keeps only the
-// MRU pair; a budget below even one pair's cost still keeps that pair (the
-// MRU is never evicted).
+// pair worth more; a budget below even one pair's cost still keeps that
+// pair (a newcomer with no other ready entry beside it is kept).
 func TestByteBudget(t *testing.T) {
-	r := New(Config{MaxBytes: 1}) // smaller than any pair's cost
-	src, dst := figPair(t, r)
-	if _, err := r.Pair(src, dst); err != nil {
-		t.Fatal(err)
-	}
+	r, clk := abcRegistry(t, Config{MaxBytes: 1}) // smaller than any pair's cost
+	compileAt(t, r, clk, "a", "b", time.Millisecond)
 	if got := r.Len(); got != 1 {
 		t.Fatalf("sole over-budget pair evicted: %d cached", got)
 	}
-	if _, err := r.Pair(dst, src); err != nil {
-		t.Fatal(err)
-	}
+	compileAt(t, r, clk, "b", "a", 2*time.Millisecond)
 	st := r.Stats()
 	if st.Pairs != 1 || st.Evictions != 1 {
 		t.Fatalf("want 1 cached pair / 1 eviction under byte budget, got %d / %d", st.Pairs, st.Evictions)
 	}
-	if st.PerPair[0].Src != dst {
-		t.Fatalf("MRU pair should be (%s, %s), got %+v", dst, src, st.PerPair[0])
+	if got := cachedPairs(r); got != "b>a" {
+		t.Fatalf("cached %q, want (b, a), worth 2 ms against 1 ms", got)
+	}
+	// A newcomer worth less than the cached pair is refused, and the byte
+	// total is the survivor's cost alone.
+	compileAt(t, r, clk, "a", "c", time.Millisecond)
+	st = r.Stats()
+	if st.Pairs != 1 || st.Evictions != 2 {
+		t.Fatalf("want 1 cached pair / 2 evictions, got %d / %d", st.Pairs, st.Evictions)
+	}
+	if got := cachedPairs(r); got != "b>a" || st.Bytes != st.PerPair[0].Bytes {
+		t.Fatalf("cached %q holding %d bytes, want (b, a) alone holding %d", got, st.Bytes, st.PerPair[0].Bytes)
 	}
 }
 

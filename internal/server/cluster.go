@@ -412,10 +412,13 @@ func (s *Server) clusterPair(w http.ResponseWriter, r *http.Request, srcID, dstI
 	}
 	defer cancel()
 
+	fetchStart := time.Now()
 	blob, err := s.fetchResilient(ctx, owner, key)
 	switch {
 	case err == nil:
-		p, ierr := s.reg.InstallArtifact(r.Context(), srcID, dstID, blob)
+		// The fetch round trip is part of what the pair cost this node,
+		// so the cache weighs it when choosing what to keep.
+		p, ierr := s.reg.InstallArtifact(r.Context(), srcID, dstID, blob, time.Since(fetchStart))
 		if ierr == nil {
 			s.mPeerFetch.Inc()
 			sp.SetAttr("cluster.via", "fetch")

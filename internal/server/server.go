@@ -1045,8 +1045,7 @@ func (s *Server) recordPair(p *registry.Pair, d time.Duration, st revalidate.Str
 	if s.hotPairs == nil || p == nil || p.Src == nil || p.Dst == nil {
 		return
 	}
-	key := artifact.Key(p.Src.Hash, p.Dst.Hash)[:12]
-	s.hotPairs.Observe(key, p.Src.ID, p.Dst.ID, hotpair.Stats{Casts: casts, Seconds: d.Seconds(), Counters: st})
+	s.hotPairs.Observe(p.Key[:12], p.Src.ID, p.Dst.ID, hotpair.Stats{Casts: casts, Seconds: d.Seconds(), Counters: st})
 }
 
 // recordStats adds the request's work in body to every table family,
