@@ -52,12 +52,6 @@ func main() {
 
 	fmt.Print(s.String())
 	fmt.Printf("DTD-shaped: %v\n", s.IsDTD())
-	if s.Ident != nil {
-		fmt.Println("identity constraints:")
-		for _, c := range s.Ident.Constraints() {
-			fmt.Printf("  %s\n", c)
-		}
-	}
 
 	if *dfaType != "" {
 		id := s.TypeByName(*dfaType)

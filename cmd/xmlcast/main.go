@@ -8,11 +8,12 @@
 //	xmlcast -source v1.xsd -target v2.xsd order.xml    # schema cast
 //	xmlcast -source v1.dtd -target v2.dtd -indexed order.xml
 //	xmlcast -source v1.xsd -target v2.xsd -stream big.xml   # O(depth) memory
-//	xmlcast -source v1.xsd -target v2.xsd -repair broken.xml > fixed.xml
 //
 // Schema format is inferred from the file extension (.xsd / .dtd) or, for
 // other extensions, sniffed from the content. With -stats the work counters
 // (nodes visited, automaton steps, subtrees skipped) are printed to stderr.
+// A schema outside the loader's subset, identity constraints included, is
+// a usage error (exit 2), never a verdict.
 package main
 
 import (
@@ -41,7 +42,6 @@ func main() {
 		targetPath = flag.String("target", "", "target schema (required)")
 		dtdRoot    = flag.String("dtd-root", "", "root element for DTD schemas without a DOCTYPE")
 		indexed    = flag.Bool("indexed", false, "use the DTD label-index optimization (§3.4)")
-		repairDoc  = flag.Bool("repair", false, "repair an invalid document and print the corrected XML to stdout")
 		streaming  = flag.Bool("stream", false, "validate from the token stream without building a tree (O(depth) memory)")
 		stats      = flag.Bool("stats", false, "print work statistics to stderr")
 		explain    = flag.Bool("explain", false, "print the decision trace (skips, rejects, descends) to stderr; implies a schema cast")
@@ -90,19 +90,6 @@ func main() {
 	caster, err := revalidate.NewCaster(source, target)
 	exitOn(err)
 
-	if *repairDoc {
-		repairer, err := revalidate.NewRepairer(source, target)
-		exitOn(err)
-		changes, rep, err := repairer.Repair(doc)
-		exitOn(err)
-		if err := caster.ValidateModified(doc, changes); err != nil {
-			exitOn(fmt.Errorf("internal: repair left the document invalid: %w", err))
-		}
-		fmt.Fprintf(os.Stderr, "repaired with %d relabels, %d inserts, %d deletes, %d value fixes\n",
-			rep.Relabels, rep.Inserts, rep.Deletes, rep.ValueFixes)
-		exitOn(doc.WriteXML(os.Stdout, "  "))
-		return
-	}
 	if *indexed {
 		idx := revalidate.BuildIndex(doc)
 		st, err := caster.ValidateIndexedStats(doc, idx)

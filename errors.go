@@ -5,11 +5,17 @@ import (
 	"runtime/debug"
 
 	"repro/internal/stream"
+	"repro/internal/xsd"
 )
 
 // Limits bounds the resources one streaming validation may consume; the
 // zero value is unlimited. See the field docs in internal/stream.
 type Limits = stream.Limits
+
+// ErrIdentityConstraint is wrapped by the error of an XSD load whose schema
+// declares xs:unique, xs:key or xs:keyref. No validator here checks them,
+// so such a schema is refused rather than answered "valid".
+var ErrIdentityConstraint = xsd.ErrIdentityConstraint
 
 // LimitError reports a document that exceeded a configured resource limit
 // (depth or element count). Retrieve it with errors.As to distinguish

@@ -1,6 +1,7 @@
 package revalidate_test
 
 import (
+	"errors"
 	"fmt"
 
 	revalidate "repro"
@@ -86,20 +87,15 @@ func ExampleNewStringCaster() {
 	// accepted=true after 2 of 3 symbols
 }
 
-// Automatic correction: the repairer inserts the missing mandatory element
-// with minimal synthesized content.
-func ExampleNewRepairer() {
+// A schema declaring xs:unique, xs:key or xs:keyref is refused at load
+// time: no validator checks identity constraints, so answering "valid"
+// for a document that repeats a key would be wrong.
+func ExampleErrIdentityConstraint() {
 	u := revalidate.NewUniverse()
-	src, _ := u.LoadXSDString(exampleSourceXSD)
-	dst, _ := u.LoadXSDString(exampleTargetXSD)
-	repairer, _ := revalidate.NewRepairer(src, dst)
-
-	doc, _ := revalidate.ParseDocumentString(
-		`<po><ship>a</ship><qty>150</qty></po>`)
-	_, report, _ := repairer.Repair(doc)
-	fmt.Printf("inserts=%d valueFixes=%d\n", report.Inserts, report.ValueFixes)
-	fmt.Println("now valid:", dst.Validate(doc) == nil)
+	_, err := u.LoadXSDString(keyedXSD)
+	fmt.Println(errors.Is(err, revalidate.ErrIdentityConstraint))
+	fmt.Println(err)
 	// Output:
-	// inserts=1 valueFixes=1
-	// now valid: true
+	// true
+	// xsd: key "skuKey" on element "catalog": identity constraints are not supported
 }

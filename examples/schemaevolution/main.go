@@ -1,9 +1,9 @@
 // Schema evolution: a catalogue of archived purchase orders, validated
 // years ago against schema v1, must be ingested by a system that enforces
 // schema v2 (billTo now required, quantities capped at 100). The schema
-// cast validator triages the archive — and, for the repairable documents,
-// incremental edits plus with-modifications revalidation fix them without
-// a from-scratch pass.
+// cast validator triages the archive, and for each invalid document
+// domain-rule edits plus with-modifications revalidation fix it without a
+// from-scratch pass.
 //
 //	go run ./examples/schemaevolution
 package main
@@ -56,17 +56,9 @@ func main() {
 		archive = append(archive, archived{id: fmt.Sprintf("PO-%04d", 1000+i), doc: doc})
 	}
 
-	// Two repair strategies: a hand-written domain-specific one (copy
-	// shipTo into billTo, clamp quantities) and the library's automatic
-	// Repairer (minimal-edit correction, the paper's §7 future work).
-	repairer, err := revalidate.NewRepairer(v1, v2)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	fmt.Println("triaging the archive against schema v2:")
 	var repaired, ok, rejected int
-	for i, a := range archive {
+	for _, a := range archive {
 		err := caster.Validate(a.doc)
 		if err == nil {
 			fmt.Printf("  %s  ✓ already v2-valid\n", a.id)
@@ -74,29 +66,14 @@ func main() {
 			continue
 		}
 		fmt.Printf("  %s  ✗ %v\n", a.id, err)
-		if i%2 == 0 {
-			// Domain-specific repair: business rules decide the fixes.
-			if repair(caster, a.doc) {
-				fmt.Printf("  %s  ✓ repaired (domain rules) and revalidated incrementally\n", a.id)
-				repaired++
-			} else {
-				rejected++
-			}
-			continue
-		}
-		// Automatic repair: minimal edits chosen by the library.
-		changes, report, err := repairer.Repair(a.doc)
-		if err != nil {
-			fmt.Printf("  %s  ✗ automatic repair impossible: %v\n", a.id, err)
+		// Business rules decide the fixes: copy shipTo into billTo and
+		// clamp quantities.
+		if repair(caster, a.doc) {
+			fmt.Printf("  %s  ✓ repaired (domain rules) and revalidated incrementally\n", a.id)
+			repaired++
+		} else {
 			rejected++
-			continue
 		}
-		if err := caster.ValidateModified(a.doc, changes); err != nil {
-			log.Fatalf("%s: repair left the document invalid: %v", a.id, err)
-		}
-		fmt.Printf("  %s  ✓ repaired automatically: %d relabels, %d inserts, %d deletes, %d value fixes\n",
-			a.id, report.Relabels, report.Inserts, report.Deletes, report.ValueFixes)
-		repaired++
 	}
 	fmt.Printf("\n%d ok, %d repaired, %d need manual attention\n", ok, repaired, rejected)
 }

@@ -22,7 +22,6 @@ func TestExamplesRun(t *testing.T) {
 		{"schemaevolution", []string{"triaging the archive", "repaired", "0 need manual attention"}},
 		{"messagebroker", []string{"routed 200 messages", "schema cast (streaming)", "% of the nodes"}},
 		{"editor", []string{"editing a purchase order", "examined", "follows the edit"}},
-		{"catalog", []string{"skuKey", "✓ committed", "duplicate tuple", "rolled back"}},
 	}
 	dir := t.TempDir()
 	for _, c := range cases {

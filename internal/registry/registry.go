@@ -294,11 +294,10 @@ func (r *Registry) Store() *artifact.Store { return r.store }
 
 // Register binds id to a schema text, compiling it once standalone so a
 // broken schema is rejected at registration time rather than at first
-// cast. A schema declaring identity constraints (xs:unique, xs:key,
-// xs:keyref) is refused too, since no cast checks them. Re-registering an
-// id hot-swaps the binding atomically; pairs compiled from the previous
-// version stay cached (under their content hash) and stay usable by
-// holders.
+// cast; the XSD loader refuses identity constraints (xs:unique, xs:key,
+// xs:keyref), since no cast checks them. Re-registering an id hot-swaps
+// the binding atomically; pairs compiled from the previous version stay
+// cached (under their content hash) and stay usable by holders.
 func (r *Registry) Register(id, text string, format Format, dtdRoot string) (*SchemaEntry, error) {
 	return r.RegisterCtx(context.Background(), id, text, format, dtdRoot)
 }
@@ -332,12 +331,6 @@ func (r *Registry) RegisterCtx(ctx context.Context, id, text string, format Form
 	s, err := e.load(revalidate.NewUniverseModels(r.models))
 	if err != nil {
 		return nil, err
-	}
-	if s.HasIdentityConstraints() {
-		// No cast path checks xs:unique/key/keyref: a document breaking
-		// one would be answered "valid". Refuse the schema instead.
-		return nil, fmt.Errorf("registry: schema %q declares identity constraints, which casts do not check: %s",
-			id, strings.Join(s.IdentityConstraints(), "; "))
 	}
 	e.models = s.Abstract().Models()
 	e.Hash = contentHash(format, dtdRoot, text)

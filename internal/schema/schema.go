@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"repro/internal/fa"
-	"repro/internal/ident"
 	"repro/internal/regexpsym"
 )
 
@@ -65,11 +64,6 @@ type Schema struct {
 	// Roots is R: the root labels a valid document may have, with the
 	// type assigned to each.
 	Roots map[fa.Symbol]TypeID
-	// Ident holds the schema's identity constraints (xs:unique/key/keyref),
-	// when any were declared. Identity validation is separate from
-	// structural validation — the paper's formalism covers structure only,
-	// and names key constraints as the extension this field supplies.
-	Ident *ident.Validator
 
 	byName     map[string]TypeID
 	compiled   bool

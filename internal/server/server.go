@@ -1078,7 +1078,8 @@ func (s *Server) handleCast(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	explain := r.URL.Query().Get("explain") == "1"
+	// Query() builds a map; most casts carry no query at all.
+	explain := r.URL.RawQuery != "" && r.URL.Query().Get("explain") == "1"
 	ctx, cancel := s.castContext(w, r)
 	defer cancel()
 	// The request body streams straight through the caster: O(depth)

@@ -1,6 +1,8 @@
 package xsd
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -298,22 +300,33 @@ func TestFacetErrorPaths(t *testing.T) {
 	}
 }
 
-func TestIdentityConstraintErrorPaths(t *testing.T) {
-	cases := []struct{ src, want string }{
-		{`<schema><element name="a" type="string"><key><selector xpath="b"/><field xpath="c"/></key></element></schema>`,
-			"no name"},
-		{`<schema><element name="a" type="string"><keyref name="r"><selector xpath="b"/><field xpath="c"/></keyref></element></schema>`,
-			"no refer"},
-		{`<schema><element name="a" type="string"><key name="k"><selector xpath="b"/><selector xpath="c"/><field xpath="d"/></key></element></schema>`,
-			"multiple selectors"},
-		{`<schema><element name="a" type="string"><key name="k"><selector xpath="@b"/><field xpath="c"/></key></element></schema>`,
-			"not allowed in a selector"},
-		{`<schema><element name="a" type="string"><key name="k"><bogus/><selector xpath="b"/><field xpath="c"/></key></element></schema>`,
-			"unexpected"},
+// TestIdentityConstraintsRefused: no validator checks xs:unique, xs:key or
+// xs:keyref, so the loader refuses each of them wherever an element
+// declaration carries it, naming the constraint.
+func TestIdentityConstraintsRefused(t *testing.T) {
+	places := map[string]string{
+		"global": `<schema><element name="cat"><complexType><sequence>
+			<element name="sku" type="string" maxOccurs="unbounded"/>
+		  </sequence></complexType>%s</element></schema>`,
+		"local in named type": `<schema><complexType name="Cat"><sequence>
+			<element name="items"><complexType><sequence>
+			  <element name="sku" type="string" maxOccurs="unbounded"/>
+			</sequence></complexType>%s</element>
+		  </sequence></complexType><element name="cat" type="Cat"/></schema>`,
+		"in named group": `<schema><group name="G"><sequence>
+			<element name="items"><complexType><sequence>
+			  <element name="sku" type="string" maxOccurs="unbounded"/>
+			</sequence></complexType>%s</element>
+		  </sequence></group><element name="cat"><complexType><group ref="G"/></complexType></element></schema>`,
 	}
-	for _, c := range cases {
-		if _, err := ParseString(c.src, Options{}); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("error = %v, want containing %q", err, c.want)
+	for _, kind := range []string{"unique", "key", "keyref"} {
+		name := "sku_" + kind
+		decl := fmt.Sprintf(`<%[1]s name=%[2]q refer="other"><selector xpath="sku"/><field xpath="."/></%[1]s>`, kind, name)
+		for place, tmpl := range places {
+			_, err := ParseString(fmt.Sprintf(tmpl, decl), Options{})
+			if !errors.Is(err, ErrIdentityConstraint) || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s %s: error = %v, want ErrIdentityConstraint naming %q", place, kind, err, name)
+			}
 		}
 	}
 }

@@ -14,25 +14,30 @@
 //     content); simpleContent derivation (maps to the base simple type,
 //     attributes skipped)
 //   - named top-level model groups (xs:group) referenced from particles
-//   - identity constraints (xs:unique / xs:key / xs:keyref) with the XSD
-//     restricted-XPath selector/field subset, surfaced on Schema.Ident
 //
 // Outside the subset (attributes, substitution groups, union types, mixed
 // content, wildcards, imports) the loader fails with a descriptive error
 // rather than silently mis-modelling the schema; the paper leaves the same
-// features out of its formalism.
+// features out of its formalism. Identity constraints (xs:unique / xs:key /
+// xs:keyref) are refused with ErrIdentityConstraint: no validator here
+// checks them, so accepting the schema would answer "valid" for a document
+// that repeats a key.
 package xsd
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 
 	"repro/internal/fa"
-	"repro/internal/ident"
 	"repro/internal/schema"
 	"repro/internal/xmltree"
 )
+
+// ErrIdentityConstraint is wrapped by the error for a schema that declares
+// xs:unique, xs:key or xs:keyref.
+var ErrIdentityConstraint = errors.New("identity constraints are not supported")
 
 // Options configure XSD loading.
 type Options struct {
@@ -73,16 +78,15 @@ func FromTree(doc *xmltree.Node, opts Options) (*schema.Schema, error) {
 		return nil, fmt.Errorf("xsd: root element is %q, want schema", doc.Label)
 	}
 	ld := &loader{
-		s:               schema.New(opts.Alpha),
-		namedComplex:    map[string]*xmltree.Node{},
-		namedSimple:     map[string]*xmltree.Node{},
-		globalElems:     map[string]*xmltree.Node{},
-		builtComplex:    map[string]schema.TypeID{},
-		builtSimple:     map[string]schema.TypeID{},
-		building:        map[string]bool{},
-		constraintsDone: map[*xmltree.Node]bool{},
-		namedGroups:     map[string]*xmltree.Node{},
-		groupBuilding:   map[string]bool{},
+		s:             schema.New(opts.Alpha),
+		namedComplex:  map[string]*xmltree.Node{},
+		namedSimple:   map[string]*xmltree.Node{},
+		globalElems:   map[string]*xmltree.Node{},
+		builtComplex:  map[string]schema.TypeID{},
+		builtSimple:   map[string]schema.TypeID{},
+		building:      map[string]bool{},
+		namedGroups:   map[string]*xmltree.Node{},
+		groupBuilding: map[string]bool{},
 	}
 	// Pass 1: index global declarations.
 	for _, c := range doc.Children {
@@ -141,13 +145,6 @@ func FromTree(doc *xmltree.Node, opts Options) (*schema.Schema, error) {
 	if err := ld.s.CompileWith(opts.Models); err != nil {
 		return nil, fmt.Errorf("xsd: %w", err)
 	}
-	if len(ld.constraints) > 0 {
-		v, err := ident.NewValidator(ld.constraints)
-		if err != nil {
-			return nil, fmt.Errorf("xsd: %w", err)
-		}
-		ld.s.Ident = v
-	}
 	return ld.s, nil
 }
 
@@ -161,9 +158,6 @@ type loader struct {
 	builtSimple  map[string]schema.TypeID
 	building     map[string]bool
 	anonCounter  int
-
-	constraints     []*ident.Constraint
-	constraintsDone map[*xmltree.Node]bool
 
 	namedGroups   map[string]*xmltree.Node
 	groupBuilding map[string]bool
@@ -186,9 +180,8 @@ func (ld *loader) elementType(elem *xmltree.Node, context string) (schema.TypeID
 			}
 			inline = c
 		case "key", "keyref", "unique":
-			if err := ld.identityConstraint(elem, c); err != nil {
-				return schema.NoType, err
-			}
+			name, _ := c.AttrValue("name")
+			return schema.NoType, fmt.Errorf("xsd: %s %q on element %q: %w", c.Label, name, context, ErrIdentityConstraint)
 		default:
 			return schema.NoType, fmt.Errorf("xsd: unexpected %q inside element %q", c.Label, context)
 		}

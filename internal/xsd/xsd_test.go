@@ -270,8 +270,6 @@ func TestParseErrors(t *testing.T) {
 		{`<schema><element name="a"><complexType><simpleContent/></complexType></element></schema>`, "empty simpleContent"},
 		{`<schema><include schemaLocation="x.xsd"/></schema>`, "not supported"},
 		{`<schema><element name="a"><complexType><sequence><element name="b" type="string" minOccurs="2" maxOccurs="1"/></sequence></complexType></element></schema>`, "maxOccurs"},
-		{`<schema><element name="a" type="string"><key name="k"><selector xpath="b"/></key></element></schema>`, "selector and at least one field"},
-		{`<schema><element name="a" type="string"><keyref name="r" refer="nope"><selector xpath="b"/><field xpath="c"/></keyref></element></schema>`, "unknown constraint"},
 		{`<schema><element name="a"><simpleType><restriction base="string"><pattern value="x+"/></restriction></simpleType></element></schema>`, "not supported"},
 		{`<schema><element name="a"><simpleType><union/></simpleType></element></schema>`, "union"},
 		{`<schema><simpleType name="L"><restriction base="L"/></simpleType><element name="a" type="L"/></schema>`, "itself"},

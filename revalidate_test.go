@@ -446,45 +446,6 @@ func TestSchemaIntrospection(t *testing.T) {
 	}
 }
 
-func TestRepairerPublicAPI(t *testing.T) {
-	_, src, dst := loadPaperPair(t)
-	repairer, err := NewRepairer(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	caster, _ := NewCaster(src, dst)
-
-	doc, _ := ParseDocumentString(poDocXML(10, false)) // missing billTo
-	changes, report, err := repairer.Repair(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Inserts != 1 || report.Total() != 1 {
-		t.Fatalf("expected a single insert, got %+v", report)
-	}
-	if err := caster.ValidateModified(doc, changes); err != nil {
-		t.Fatalf("repaired doc should validate incrementally: %v", err)
-	}
-	if err := dst.Validate(doc); err != nil {
-		t.Fatalf("repaired doc should validate fully: %v", err)
-	}
-	// Valid documents pass through untouched.
-	doc2, _ := ParseDocumentString(poDocXML(10, true))
-	_, report2, err := repairer.Repair(doc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report2.Total() != 0 {
-		t.Fatalf("valid doc should need no repair, got %+v", report2)
-	}
-	// Cross-universe rejection.
-	other := NewUniverse()
-	foreign, _ := other.LoadXSDString(wgen.Figure2XSD(false, 100))
-	if _, err := NewRepairer(src, foreign); err == nil {
-		t.Fatal("cross-universe repairer must be rejected")
-	}
-}
-
 // Regression: schemas loaded into one universe at different times hold
 // automata over different alphabet widths; the caster must reconcile them
 // (found by schema-pair fuzzing).
@@ -712,129 +673,4 @@ func TestCasterConcurrentUse(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-const catalogXSD = `
-<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
-  <xsd:element name="catalog" type="CatalogType">
-    <xsd:key name="skuKey">
-      <xsd:selector xpath="items/item"/>
-      <xsd:field xpath="sku"/>
-    </xsd:key>
-    <xsd:keyref name="orderRef" refer="skuKey">
-      <xsd:selector xpath="orders/order"/>
-      <xsd:field xpath="itemSku"/>
-    </xsd:keyref>
-  </xsd:element>
-  <xsd:complexType name="CatalogType">
-    <xsd:sequence>
-      <xsd:element name="items" type="ItemsType"/>
-      <xsd:element name="orders" type="OrdersType"/>
-    </xsd:sequence>
-  </xsd:complexType>
-  <xsd:complexType name="ItemsType">
-    <xsd:sequence>
-      <xsd:element name="item" type="ItemType" minOccurs="0" maxOccurs="unbounded"/>
-    </xsd:sequence>
-  </xsd:complexType>
-  <xsd:complexType name="ItemType">
-    <xsd:sequence>
-      <xsd:element name="sku" type="xsd:string"/>
-      <xsd:element name="name" type="xsd:string"/>
-    </xsd:sequence>
-  </xsd:complexType>
-  <xsd:complexType name="OrdersType">
-    <xsd:sequence>
-      <xsd:element name="order" type="OrderType" minOccurs="0" maxOccurs="unbounded"/>
-    </xsd:sequence>
-  </xsd:complexType>
-  <xsd:complexType name="OrderType">
-    <xsd:sequence>
-      <xsd:element name="itemSku" type="xsd:string"/>
-    </xsd:sequence>
-  </xsd:complexType>
-</xsd:schema>`
-
-const catalogDocXML = `
-<catalog>
-  <items>
-    <item><sku>A1</sku><name>Widget</name></item>
-    <item><sku>B2</sku><name>Gadget</name></item>
-  </items>
-  <orders>
-    <order><itemSku>A1</itemSku></order>
-  </orders>
-</catalog>`
-
-func TestIdentityConstraintsEndToEnd(t *testing.T) {
-	u := NewUniverse()
-	s, err := u.LoadXSDString(catalogXSD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.HasIdentityConstraints() {
-		t.Fatal("constraints should be loaded from the XSD")
-	}
-	if got := s.IdentityConstraints(); len(got) != 2 || !strings.Contains(got[0], "skuKey") {
-		t.Fatalf("IdentityConstraints = %v", got)
-	}
-	doc, err := ParseDocumentString(catalogDocXML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(doc); err != nil {
-		t.Fatalf("structurally valid: %v", err)
-	}
-	if err := s.ValidateIdentity(doc); err != nil {
-		t.Fatalf("identity-valid: %v", err)
-	}
-
-	// Duplicate sku breaks the key.
-	dup, _ := ParseDocumentString(strings.Replace(catalogDocXML, "B2", "A1", 1))
-	if err := s.ValidateIdentity(dup); err == nil {
-		t.Fatal("duplicate sku must fail")
-	}
-	// Dangling order reference breaks the keyref.
-	dangling, _ := ParseDocumentString(strings.Replace(catalogDocXML, "<itemSku>A1<", "<itemSku>ZZ<", 1))
-	if err := s.ValidateIdentity(dangling); err == nil {
-		t.Fatal("dangling keyref must fail")
-	}
-
-	// Incremental: index once, edit, re-check only the touched scope.
-	idx, err := s.BuildIdentityIndex(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	es := doc.Edit()
-	items, _ := doc.Root().First("items")
-	if err := es.AppendChild(items, Element("item",
-		Element("sku", Text("C3")), Element("name", Text("Sprocket")))); err != nil {
-		t.Fatal(err)
-	}
-	changes := es.Done()
-	if err := idx.ValidateModified(doc, changes); err != nil {
-		t.Fatalf("fresh sku should pass: %v", err)
-	}
-	// Now add a duplicate.
-	es2 := doc.Edit()
-	if err := es2.AppendChild(items, Element("item",
-		Element("sku", Text("A1")), Element("name", Text("Clone")))); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.ValidateModified(doc, es2.Done()); err == nil {
-		t.Fatal("duplicate sku must fail incrementally")
-	}
-
-	// Schemas without constraints behave gracefully.
-	plain, _ := u.LoadXSDString(wgen.Figure2XSD(false, 100))
-	if plain.HasIdentityConstraints() || plain.IdentityConstraints() != nil {
-		t.Fatal("figure-2 schema has no constraints")
-	}
-	poDoc, _ := ParseDocumentString(poDocXML(2, true))
-	if err := plain.ValidateIdentity(poDoc); err != nil {
-		t.Fatal("no constraints → always valid")
-	}
-	if _, err := plain.BuildIdentityIndex(poDoc); err == nil {
-		t.Fatal("index over constraint-less schema should error")
-	}
 }

@@ -5,6 +5,7 @@ package revalidate_test
 
 import (
 	"bufio"
+	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -72,6 +73,17 @@ func fixtures(t *testing.T) (dir, srcXSD, dstXSD, validDoc, invalidDoc string) {
 	return
 }
 
+// keyedXSD declares an xs:key: no validator checks it, so every entry
+// point refuses the schema.
+const keyedXSD = `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="catalog">
+    <xs:complexType><xs:sequence>
+      <xs:element name="sku" type="xs:string" maxOccurs="unbounded"/>
+    </xs:sequence></xs:complexType>
+    <xs:key name="skuKey"><xs:selector xpath="sku"/><xs:field xpath="."/></xs:key>
+  </xs:element>
+</xs:schema>`
+
 func run(t *testing.T, bin string, args ...string) (stdout, stderr string, exitCode int) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
@@ -113,14 +125,6 @@ func TestXmlcastCLI(t *testing.T) {
 	out, _, code = run(t, bin, "-source", src, "-target", dst, "-indexed", valid)
 	if code != 0 || !strings.Contains(out, "valid") {
 		t.Fatalf("indexed: code=%d out=%q", code, out)
-	}
-	// Repair mode emits corrected XML on stdout.
-	out, errOut, code = run(t, bin, "-source", src, "-target", dst, "-repair", invalid)
-	if code != 0 {
-		t.Fatalf("repair: code=%d err=%q", code, errOut)
-	}
-	if !strings.Contains(out, "<billTo>") || !strings.Contains(errOut, "1 inserts") {
-		t.Fatalf("repair output wrong:\nstdout=%q\nstderr=%q", out, errOut)
 	}
 	// Usage error.
 	_, _, code = run(t, bin)
@@ -165,14 +169,24 @@ func TestXmlcastExitCodeContract(t *testing.T) {
 	if code != 1 || out != "" || !strings.Contains(errOut, "INVALID") {
 		t.Fatalf("stream invalid: code=%d stdout=%q stderr=%q", code, out, errOut)
 	}
+	// A schema with an identity constraint is refused, never answered.
+	keyed := filepath.Join(dir, "keyed.xsd")
+	if err := os.WriteFile(keyed, []byte(keyedXSD), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, errOut, code = run(t, bin, "-target", keyed, valid)
+	if code != 2 || out != "" || !strings.Contains(errOut, "skuKey") {
+		t.Fatalf("keyed schema: code=%d stdout=%q stderr=%q", code, out, errOut)
+	}
 }
 
-// TestCastdSmoke drives the real castd binary end to end: start it on an
-// ephemeral port, register the paper's schema pair over HTTP, cast a
-// valid and an invalid purchase order, then SIGTERM for a graceful exit.
-func TestCastdSmoke(t *testing.T) {
+// startCastd starts the castd binary on an ephemeral port with the given
+// extra flags and returns it with its base URL once it logs that it is
+// listening. The process is killed when the test ends.
+func startCastd(t *testing.T, args ...string) (*exec.Cmd, string) {
+	t.Helper()
 	bin := filepath.Join(buildTools(t), "castd")
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-drain", "5s")
+	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +194,7 @@ func TestCastdSmoke(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill()
+	t.Cleanup(func() { cmd.Process.Kill() })
 
 	// The daemon logs its resolved address (a structured slog record with
 	// an addr attribute) once the listener is up.
@@ -205,48 +219,62 @@ func TestCastdSmoke(t *testing.T) {
 		t.Fatalf("castd never reported its address: %v", sc.Err())
 	}
 	go io.Copy(io.Discard, stderr) // keep the pipe drained
+	return cmd, base
+}
 
-	httpDo := func(method, url, body string) (int, string) {
-		t.Helper()
-		req, err := http.NewRequest(method, url, strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(b)
+// httpDo sends one request and returns the status code and body.
+func httpDo(t *testing.T, method, url, body string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(b)
+}
 
-	if code, body := httpDo("GET", base+"/healthz", ""); code != 200 {
+// registerPaperPair registers Figure 2's optional-billTo schema as v1 and
+// the required-billTo one as v2.
+func registerPaperPair(t *testing.T, base string) {
+	t.Helper()
+	for id, optional := range map[string]bool{"v1": true, "v2": false} {
+		if code, body := httpDo(t, "PUT", base+"/schemas/"+id, wgen.Figure2XSD(optional, 100)); code != 200 {
+			t.Fatalf("register %s: %d %s", id, code, body)
+		}
+	}
+}
+
+// TestCastdSmoke drives the real castd binary end to end: start it on an
+// ephemeral port, register the paper's schema pair over HTTP, cast a
+// valid and an invalid purchase order, then SIGTERM for a graceful exit.
+func TestCastdSmoke(t *testing.T) {
+	cmd, base := startCastd(t, "-drain", "5s")
+	if code, body := httpDo(t, "GET", base+"/healthz", ""); code != 200 {
 		t.Fatalf("healthz: %d %s", code, body)
 	}
-	if code, body := httpDo("PUT", base+"/schemas/v1", wgen.Figure2XSD(true, 100)); code != 200 {
-		t.Fatalf("register v1: %d %s", code, body)
-	}
-	if code, body := httpDo("PUT", base+"/schemas/v2", wgen.Figure2XSD(false, 100)); code != 200 {
-		t.Fatalf("register v2: %d %s", code, body)
-	}
+	registerPaperPair(t, base)
 	withBill := string(wgen.POXMLBytes(wgen.PODocument(wgen.PODocOptions{Items: 3, IncludeBillTo: true, Seed: 1})))
 	without := string(wgen.POXMLBytes(wgen.PODocument(wgen.PODocOptions{Items: 3, IncludeBillTo: false, Seed: 1})))
-	if code, body := httpDo("POST", base+"/cast/v1/v2", withBill); code != 200 || !strings.Contains(body, `"valid":true`) {
+	if code, body := httpDo(t, "POST", base+"/cast/v1/v2", withBill); code != 200 || !strings.Contains(body, `"valid":true`) {
 		t.Fatalf("cast valid doc: %d %s", code, body)
 	}
-	if code, body := httpDo("POST", base+"/cast/v1/v2", without); code != 200 || !strings.Contains(body, `"valid":false`) {
+	if code, body := httpDo(t, "POST", base+"/cast/v1/v2", without); code != 200 || !strings.Contains(body, `"valid":false`) {
 		t.Fatalf("cast invalid doc: %d %s", code, body)
 	}
-	if code, body := httpDo("GET", base+"/pairs/v1/v2", ""); code != 200 || !strings.Contains(body, `"alwaysValid":false`) {
+	if code, body := httpDo(t, "GET", base+"/pairs/v1/v2", ""); code != 200 || !strings.Contains(body, `"alwaysValid":false`) {
 		t.Fatalf("pairs: %d %s", code, body)
 	}
-	code, metrics := httpDo("GET", base+"/metrics", "")
+	code, metrics := httpDo(t, "GET", base+"/metrics", "")
 	if code != 200 {
 		t.Fatalf("metrics: %d %s", code, metrics)
 	}
 	checkSmokeMetrics(t, metrics)
-	if code, body := httpDo("GET", base+"/metrics.json", ""); code != 200 || !strings.Contains(body, `"compiles":1`) {
+	if code, body := httpDo(t, "GET", base+"/metrics.json", ""); code != 200 || !strings.Contains(body, `"compiles":1`) {
 		t.Fatalf("metrics.json: %d %s", code, body)
 	}
 
@@ -264,6 +292,110 @@ func TestCastdSmoke(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("castd did not exit after SIGTERM")
 	}
+}
+
+// TestCastdGovernanceFlags checks that castd's governance flags reach the
+// server: -max-in-flight sheds with 429, -cast-timeout answers a stalled
+// body with 408, and -fault-inject compile-panic yields a contained 500.
+// The behaviour itself is tested at the Options level in internal/server
+// (TestShed429WhenSaturated, TestCastTimeout408, TestChaos).
+func TestCastdGovernanceFlags(t *testing.T) {
+	withBill := string(wgen.POXMLBytes(wgen.PODocument(wgen.PODocOptions{Items: 3, IncludeBillTo: true, Seed: 1})))
+	isJSONError := func(body string) bool {
+		var e struct {
+			Error string `json:"error"`
+		}
+		return json.Unmarshal([]byte(body), &e) == nil && e.Error != ""
+	}
+
+	t.Run("shed-and-timeout", func(t *testing.T) {
+		_, base := startCastd(t, "-max-in-flight", "1", "-cast-timeout", "1s")
+		registerPaperPair(t, base)
+		// Warm the pair so the probes measure admission, not compile.
+		if code, body := httpDo(t, "POST", base+"/cast/v1/v2", withBill); code != 200 {
+			t.Fatalf("warm cast: %d %s", code, body)
+		}
+
+		// Hold the one slot with a body that stalls after its first tag.
+		pr, pw := io.Pipe()
+		defer pw.Close()
+		go pw.Write([]byte(`<purchaseOrder orderDate="2004-03-14">`))
+		type result struct {
+			code int
+			body string
+			err  error
+		}
+		held := make(chan result, 1)
+		go func() {
+			resp, err := http.Post(base+"/cast/v1/v2", "application/xml", pr)
+			if err != nil {
+				held <- result{err: err}
+				return
+			}
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			held <- result{code: resp.StatusCode, body: string(b)}
+		}()
+		// The holder is in flight once the gauge counts it beside the
+		// scrape that reads it.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			_, metrics := httpDo(t, "GET", base+"/metrics", "")
+			if strings.Contains(metrics, "\nhttp_in_flight_requests 2\n") {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the stalled cast never went in flight")
+			}
+		}
+
+		resp, err := http.Post(base+"/cast/v1/v2", "application/xml", strings.NewReader(withBill))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests || !isJSONError(string(b)) {
+			t.Fatalf("want a structured 429 under saturation, got %d %s", resp.StatusCode, b)
+		}
+		if got := resp.Header.Get("Retry-After"); got != "1" {
+			t.Fatalf("Retry-After = %q, want 1", got)
+		}
+
+		// -cast-timeout answers the stalled body with a structured 408.
+		var r result
+		select {
+		case r = <-held:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the stalled cast was never answered")
+		}
+		if r.err != nil {
+			t.Fatalf("stalled cast failed at the transport: %v", r.err)
+		}
+		if r.code != http.StatusRequestTimeout || !isJSONError(r.body) {
+			t.Fatalf("want a structured 408 for the stalled body, got %d %s", r.code, r.body)
+		}
+
+		_, metrics := httpDo(t, "GET", base+"/metrics", "")
+		for _, want := range []string{"\ncastd_shed_total 1\n", "\ncastd_panics_total 0\n", "\ncastd_queue_wait_seconds_bucket{"} {
+			if !strings.Contains(metrics, want) {
+				t.Errorf("metrics missing %q", strings.TrimSpace(want))
+			}
+		}
+	})
+
+	t.Run("compile-panic", func(t *testing.T) {
+		_, base := startCastd(t, "-fault-inject", "compile-panic")
+		registerPaperPair(t, base)
+		if code, body := httpDo(t, "POST", base+"/cast/v1/v2", withBill); code != http.StatusInternalServerError || !strings.Contains(body, "panicked") {
+			t.Fatalf("want a 500 naming the panic, got %d %s", code, body)
+		}
+		if code, body := httpDo(t, "GET", base+"/healthz", ""); code != 200 {
+			t.Fatalf("daemon did not survive the panic: healthz %d %s", code, body)
+		}
+		if _, metrics := httpDo(t, "GET", base+"/metrics", ""); !strings.Contains(metrics, "\nregistry_compile_panics_total 1\n") {
+			t.Fatal("registry_compile_panics_total is not 1")
+		}
+	})
 }
 
 // smokeFamilies are the families a standalone castd exposes after one
